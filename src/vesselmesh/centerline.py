@@ -18,6 +18,9 @@ def validate_centerline(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"centerline must have shape (k, 3), got {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise ValueError(f"centerline rows {bad.tolist()} are not finite")
     if len(pts) < 4:
         raise ValueError(f"centerline needs at least 4 points, got {len(pts)}")
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)

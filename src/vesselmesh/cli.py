@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, pipeline
-from .meshkit import merge_branches, read_obj, validate, write_obj
+from .meshkit import merge_branches, read_obj, write_obj
 from .pipeline import StageError
 
 CONFIG_EXIT = 2
@@ -167,8 +167,6 @@ def main(argv=None) -> int:
             out = _out_dir(args)
             mesh = read_obj(args.mesh)
             ref = read_obj(args.reference)
-            for m, name in ((mesh, args.mesh), (ref, args.reference)):
-                validate(m, check_self_intersections=False)
             seed = args.seed if args.seed is not None else 0
             report = metrics.mesh_metric_report(
                 mesh, ref, seed=seed, inputs={"mesh": args.mesh, "reference": args.reference}

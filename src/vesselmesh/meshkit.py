@@ -164,165 +164,188 @@ def validate(mesh: TriMesh, check_self_intersections: bool = True) -> TopologyRe
 
 
 # ---------------------------------------------------------------------------
-# self-intersection counting (spatial hash + triangle-triangle overlap test)
+# self-intersection counting: uniform-grid broad phase over bounding boxes
+# (Baraff 1992) and a batched triangle-triangle interval test (Moller 1997)
+
+_PAIR_CHUNK = 1 << 16  # candidate pairs per batch; bounds the working memory
+
+# Batches are component-major: a triangle batch is (3 vertices, 3 coords, P)
+# and a vector batch (3, P), so reductions over a triangle's three vertices
+# or coordinates run along the leading axis, element-wise over P.
 
 
-def _tri_tri_intersect(t1: np.ndarray, t2: np.ndarray, eps: float = 1e-10) -> bool:
-    """Moller's interval test; shared-vertex contacts are filtered by the caller."""
-    v0, v1, v2 = t1
-    u0, u1, u2 = t2
+def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
+    """Yield (i, j), i < j, of every triangle pair whose closed bboxes overlap, in batches.
 
-    n2 = np.cross(u1 - u0, u2 - u0)
-    dv = np.array([np.dot(n2, v0 - u0), np.dot(n2, v1 - u0), np.dot(n2, v2 - u0)])
-    scale1 = max(np.abs(dv).max(), 1.0)
-    dv[np.abs(dv) < eps * scale1] = 0.0
-    if (dv > 0).all() or (dv < 0).all():
-        return False
+    lo and hi are (3, T) box corners.  Each box is entered into every cell
+    of a uniform grid (cell edge: the median box extent) that it touches.
+    Pairs are formed inside each cell and kept only in the cell that holds
+    the low corner of the two boxes' overlap, so every overlapping pair is
+    produced exactly once.
+    """
+    ext = hi - lo
+    cell = float(np.median(ext.max(axis=0)))
+    if cell <= 0:
+        cell = max(float(ext.max()), 1e-9)
+    ilo = np.floor(lo / cell).astype(np.int64)
+    span = np.floor(hi / cell).astype(np.int64) - ilo + 1
+    ilo -= ilo.min(axis=1, keepdims=True)
+    _, ny, nz = (ilo + span).max(axis=1)
 
-    n1 = np.cross(v1 - v0, v2 - v0)
-    du = np.array([np.dot(n1, u0 - v0), np.dot(n1, u1 - v0), np.dot(n1, u2 - v0)])
-    scale2 = max(np.abs(du).max(), 1.0)
-    du[np.abs(du) < eps * scale2] = 0.0
-    if (du > 0).all() or (du < 0).all():
-        return False
+    # one entry per (box, cell it touches): the flat cell key, and a bit per
+    # axis set where the cell is the box's low cell on that axis
+    ncell = span.prod(axis=0)
+    tri = np.repeat(np.arange(lo.shape[1]), ncell)
+    k = np.arange(len(tri)) - np.repeat(np.cumsum(ncell) - ncell, ncell)
+    sz = span[2, tri]
+    oz = k % sz
+    k //= sz
+    sy = span[1, tri]
+    oy = k % sy
+    ox = k // sy
+    keys = ((ilo[0] * ny + ilo[1]) * nz + ilo[2])[tri] + (ox * ny + oy) * nz + oz
+    low = (ox == 0).astype(np.uint8) | (oy == 0) << 1 | (oz == 0) << 2
+    del k, sz, sy, ox, oy, oz
+    # the stable sort keeps triangles ascending inside each cell
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    tri = tri[order]
+    low = low[order]
 
-    if (dv == 0).all() and (du == 0).all():
-        return _coplanar_tri_tri(t1, t2, n1)
+    # entry q pairs with the later entries q+1 .. end-1 of its cell.  Both
+    # boxes touch the cell, so it holds the low corner of their overlap iff
+    # on every axis it is the low cell of one of the two boxes.
+    n_partners = np.searchsorted(keys, keys, side="right") - np.arange(1, len(keys) + 1)
+    total = np.cumsum(n_partners)
+    start = 0
+    while start < len(keys):
+        done = int(total[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(total, done + _PAIR_CHUNK, side="right")), start + 1)
+        cnt = n_partners[start:stop]
+        first = np.repeat(np.arange(start, stop), cnt)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        corner = (low[first] | low[second]) == 7
+        i = tri[first[corner]]
+        j = tri[second[corner]]
+        keep = ((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i])).all(axis=0)
+        yield i[keep], j[keep]
+        start = stop
 
-    d = np.cross(n1, n2)
-    axis = int(np.argmax(np.abs(d)))
-    pv = np.array([v0[axis], v1[axis], v2[axis]])
-    pu = np.array([u0[axis], u1[axis], u2[axis]])
-    i1 = _crossing_interval(pv, dv)
-    i2 = _crossing_interval(pu, du)
-    if i1 is None or i2 is None:
-        return False
-    lo = max(i1[0], i2[0])
-    hi = min(i1[1], i2[1])
-    span = max(abs(i1[1] - i1[0]), abs(i2[1] - i2[0]), 1.0)
-    return hi - lo > eps * span
+
+# ordered vertex pairs (a, b), a != b, of a triangle
+_PAIR_A = np.array([0, 0, 1, 1, 2, 2])
+_PAIR_B = np.array([1, 2, 0, 2, 0, 1])
+_NEXT = np.array([1, 2, 0])
+
+
+def _pick(t: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """t[:, axis[p], p] for a triangle batch t (3, 3, P)."""
+    return np.take_along_axis(t, axis[None, None, :], axis=1)[:, 0]
 
 
 def _crossing_interval(p: np.ndarray, d: np.ndarray):
-    """Projection interval of a triangle on the plane-intersection line."""
-    pos = [i for i in range(3) if d[i] > 0]
-    neg = [i for i in range(3) if d[i] < 0]
-    zer = [i for i in range(3) if d[i] == 0]
-    if len(zer) == 3:
-        return None
-    ts = []
-    for side_a, side_b in ((pos, neg), (neg, pos)):
-        for i in side_a:
-            for j in side_b:
-                ts.append(p[i] + (p[j] - p[i]) * d[i] / (d[i] - d[j]))
-    for i in zer:
-        ts.append(p[i])
-    if len(ts) < 2:
-        return None
-    return min(ts), max(ts)
+    """Projection intervals of triangles on their plane-intersection lines.
+
+    p (3, P) are the vertices' coordinates along the line, d (3, P) their
+    signed plane distances with small values already zeroed.  Returns
+    (lo, hi, ok); ok is False where no interval exists.
+    """
+    da = d[_PAIR_A]
+    db = d[_PAIR_B]
+    crosses = ((da > 0) & (db < 0)) | ((da < 0) & (db > 0))
+    pa = p[_PAIR_A]
+    ts = np.concatenate([pa + (p[_PAIR_B] - pa) * da / np.where(crosses, da - db, 1.0), p])
+    on = np.concatenate([crosses, d == 0])
+    lo = np.where(on, ts, np.inf).min(axis=0)
+    hi = np.where(on, ts, -np.inf).max(axis=0)
+    ok = (on.sum(axis=0) >= 2) & d.any(axis=0)
+    return lo, hi, ok
 
 
-def _coplanar_tri_tri(t1, t2, n) -> bool:
-    axis = int(np.argmax(np.abs(n)))
-    keep = [a for a in range(3) if a != axis]
-    a = t1[:, keep]
-    b = t2[:, keep]
+def _contains(tri: np.ndarray, pt: np.ndarray) -> np.ndarray:
+    """Strict 2D containment of pt (2, P) in tri (3, 2, P); on-edge counts as outside."""
+    e = tri[_NEXT] - tri
+    w = pt - tri
+    cr = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
+    return (np.abs(cr) >= 1e-14).all(axis=0) & ((cr > 0).all(axis=0) | (cr < 0).all(axis=0))
 
-    def seg_x(p1, p2, q1, q2):
-        r = p2 - p1
-        s = q2 - q1
-        denom = r[0] * s[1] - r[1] * s[0]
-        if abs(denom) < 1e-14:
-            return False
-        qp = q1 - p1
-        t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-        u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-        return 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9
 
-    for i in range(3):
-        for j in range(3):
-            if seg_x(a[i], a[(i + 1) % 3], b[j], b[(j + 1) % 3]):
-                return True
+def _coplanar_tri_tri(t1: np.ndarray, t2: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Overlap of coplanar pairs, projected on the plane that drops n's largest axis.
 
-    def contains(tri2d, pt):
-        sign = 0
-        for i in range(3):
-            e = tri2d[(i + 1) % 3] - tri2d[i]
-            w = pt - tri2d[i]
-            cr = e[0] * w[1] - e[1] * w[0]
-            if abs(cr) < 1e-14:
-                return False
-            s = 1 if cr > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                return False
-        return True
+    A pair overlaps if two of its edges cross at interior points of both,
+    or if either triangle contains the other's centroid.
+    """
+    drop = np.argmax(np.abs(n), axis=0)
+    u = np.where(drop == 0, 1, 0)
+    v = np.where(drop == 2, 1, 2)
+    a = np.stack([_pick(t1, u), _pick(t1, v)], axis=1)
+    b = np.stack([_pick(t2, u), _pick(t2, v)], axis=1)
 
-    return contains(a, b.mean(axis=0)) or contains(b, a.mean(axis=0))
+    # all nine edge pairs, indexed [edge of a, edge of b, coordinate, pair]
+    r = (a[_NEXT] - a)[:, None]
+    s = (b[_NEXT] - b)[None, :]
+    qp = b[None, :] - a[:, None]
+    denom = r[:, :, 0] * s[:, :, 1] - r[:, :, 1] * s[:, :, 0]
+    ok = np.abs(denom) >= 1e-14
+    denom = np.where(ok, denom, 1.0)
+    t = (qp[:, :, 0] * s[:, :, 1] - qp[:, :, 1] * s[:, :, 0]) / denom
+    w = (qp[:, :, 0] * r[:, :, 1] - qp[:, :, 1] * r[:, :, 0]) / denom
+    inner = ok & (1e-9 < t) & (t < 1 - 1e-9) & (1e-9 < w) & (w < 1 - 1e-9)
+
+    ca = (a[0] + a[1] + a[2]) / 3.0
+    cb = (b[0] + b[1] + b[2]) / 3.0
+    return inner.any(axis=(0, 1)) | _contains(a, cb) | _contains(b, ca)
+
+
+def _tri_tri_intersect(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Moller's interval test on (3, 3, P) batches of triangle pairs.
+
+    Plane distances below 1e-10 of the larger of 1 and the triangle's
+    largest distance count as zero; a pair with every distance zero takes
+    the coplanar test.  Shared-vertex pairs are filtered by the caller.
+    """
+    eps = 1e-10
+    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0], axis=0)
+    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0], axis=0)
+    dv = ((t1 - t2[0]) * n2).sum(axis=1)
+    du = ((t2 - t1[0]) * n1).sum(axis=1)
+    # a triangle strictly on one side of the other's plane cannot touch it
+    sep = (dv > 1e-12).all(axis=0) | (dv < -1e-12).all(axis=0)
+    sep |= (du > 1e-12).all(axis=0) | (du < -1e-12).all(axis=0)
+    hit = np.zeros(t1.shape[2], dtype=bool)
+    live = np.flatnonzero(~sep)
+    t1, t2, n1, n2, dv, du = (x[..., live] for x in (t1, t2, n1, n2, dv, du))
+    dv[np.abs(dv) < eps * np.maximum(np.abs(dv).max(axis=0), 1.0)] = 0.0
+    du[np.abs(du) < eps * np.maximum(np.abs(du).max(axis=0), 1.0)] = 0.0
+
+    coplanar = ~dv.any(axis=0) & ~du.any(axis=0)
+    cop = np.flatnonzero(coplanar)
+    hit[live[cop]] = _coplanar_tri_tri(t1[..., cop], t2[..., cop], n1[:, cop])
+
+    gen = np.flatnonzero(~coplanar)
+    t1, t2, dv, du = (x[..., gen] for x in (t1, t2, dv, du))
+    axis = np.argmax(np.abs(np.cross(n1[:, gen], n2[:, gen], axis=0)), axis=0)
+    lo1, hi1, ok1 = _crossing_interval(_pick(t1, axis), dv)
+    lo2, hi2, ok2 = _crossing_interval(_pick(t2, axis), du)
+    span = np.maximum(np.maximum(np.abs(hi1 - lo1), np.abs(hi2 - lo2)), 1.0)
+    overlap = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
+    hit[live[gen]] = ok1 & ok2 & (overlap > eps * span)
+    return hit
 
 
 def count_self_intersections(mesh: TriMesh) -> int:
     """Number of triangle pairs that properly intersect (shared-vertex pairs excluded)."""
     tris = mesh.triangles
-    nt = len(tris)
-    if nt < 2:
+    if len(tris) < 2:
         return 0
-    p = mesh.vertices[tris]
-    lo = p.min(axis=1)
-    hi = p.max(axis=1)
-    ext = hi - lo
-    cell = float(np.median(ext.max(axis=1)))
-    if cell <= 0:
-        cell = max(float(ext.max()), 1e-9)
-
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    ilo = np.floor(lo / cell).astype(np.int64)
-    ihi = np.floor(hi / cell).astype(np.int64)
-    for t in range(nt):
-        for gx in range(ilo[t, 0], ihi[t, 0] + 1):
-            for gy in range(ilo[t, 1], ihi[t, 1] + 1):
-                for gz in range(ilo[t, 2], ihi[t, 2] + 1):
-                    grid.setdefault((gx, gy, gz), []).append(t)
-
-    cand = set()
-    for members in grid.values():
-        m = len(members)
-        if m < 2:
-            continue
-        for ii in range(m):
-            for jj in range(ii + 1, m):
-                cand.add((members[ii], members[jj]))
-    if not cand:
-        return 0
-
-    pairs = np.array(sorted(cand), dtype=np.int64)
-    # bbox overlap prefilter
-    ok = ((lo[pairs[:, 0]] <= hi[pairs[:, 1]]) & (lo[pairs[:, 1]] <= hi[pairs[:, 0]])).all(axis=1)
-    pairs = pairs[ok]
-    if not len(pairs):
-        return 0
-    # shared-vertex pairs are adjacency, not intersections
-    shares = (tris[pairs[:, 0]][:, :, None] == tris[pairs[:, 1]][:, None, :]).any(axis=(1, 2))
-    pairs = pairs[~shares]
-    if not len(pairs):
-        return 0
-
-    # vectorized plane-separation reject before the exact pair test
-    t1 = p[pairs[:, 0]]
-    t2 = p[pairs[:, 1]]
-    n2 = np.cross(t2[:, 1] - t2[:, 0], t2[:, 2] - t2[:, 0])
-    dv = np.einsum("pij,pj->pi", t1 - t2[:, 0:1, :], n2)
-    sep1 = (dv > 1e-12).all(axis=1) | (dv < -1e-12).all(axis=1)
-    n1 = np.cross(t1[:, 1] - t1[:, 0], t1[:, 2] - t1[:, 0])
-    du = np.einsum("pij,pj->pi", t2 - t1[:, 0:1, :], n1)
-    sep2 = (du > 1e-12).all(axis=1) | (du < -1e-12).all(axis=1)
-    pairs = pairs[~(sep1 | sep2)]
-
+    p = np.ascontiguousarray(mesh.vertices[tris].transpose(1, 2, 0))
+    corners = np.ascontiguousarray(tris.T)
     count = 0
-    for i, j in pairs:
-        if _tri_tri_intersect(p[i], p[j]):
-            count += 1
+    for i, j in _overlapping_pairs(p.min(axis=0), p.max(axis=0)):
+        # shared-vertex pairs are adjacency, not intersections
+        shares = (corners[:, None, i] == corners[None, :, j]).any(axis=(0, 1))
+        count += int(_tri_tri_intersect(p[..., i[~shares]], p[..., j[~shares]]).sum())
     return count
 
 
@@ -642,6 +665,10 @@ def read_obj(path) -> TriMesh:
     return TriMesh(np.asarray(verts), np.asarray(tris, dtype=np.int64))
 
 
+# one binary STL record: facet normal, three vertices, attribute byte count
+_STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attr", "<u2")])
+
+
 def write_stl(mesh: TriMesh, path) -> None:
     """Binary little-endian STL: 80-byte header, uint32 count, 50 bytes/triangle."""
     p = mesh.vertices[mesh.triangles].astype("<f4")
@@ -650,14 +677,13 @@ def write_stl(mesh: TriMesh, path) -> None:
         p[:, 2].astype(np.float64) - p[:, 0].astype(np.float64),
     )
     norm = np.linalg.norm(n, axis=1, keepdims=True)
-    n = np.where(norm > 0, n / np.where(norm > 0, norm, 1.0), 0.0).astype("<f4")
+    records = np.zeros(mesh.n_triangles, dtype=_STL_RECORD)
+    records["normal"] = np.where(norm > 0, n / np.where(norm > 0, norm, 1.0), 0.0)
+    records["vertices"] = p
     with open(path, "wb") as f:
         f.write(b"vesselmesh binary stl".ljust(80, b"\0"))
         f.write(struct.pack("<I", mesh.n_triangles))
-        for i in range(mesh.n_triangles):
-            f.write(n[i].tobytes())
-            f.write(p[i].tobytes())
-            f.write(struct.pack("<H", 0))
+        f.write(records.tobytes())
 
 
 def read_stl(path) -> TriMesh:
@@ -665,15 +691,10 @@ def read_stl(path) -> TriMesh:
     if len(raw) < 84:
         raise ValueError("truncated STL file")
     (count,) = struct.unpack_from("<I", raw, 80)
-    expected = 84 + 50 * count
+    expected = 84 + _STL_RECORD.itemsize * count
     if len(raw) != expected:
         raise ValueError(f"STL length {len(raw)} != expected {expected} for {count} triangles")
-    tri_pts = np.zeros((count, 3, 3), dtype=np.float64)
-    off = 84
-    for i in range(count):
-        vals = struct.unpack_from("<12f", raw, off)
-        tri_pts[i] = np.asarray(vals[3:], dtype=np.float64).reshape(3, 3)
-        off += 50
-    flat = tri_pts.reshape(-1, 3)
+    records = np.frombuffer(raw, dtype=_STL_RECORD, count=count, offset=84)
+    flat = records["vertices"].astype(np.float64).reshape(-1, 3)
     uniq, inv = np.unique(flat, axis=0, return_inverse=True)
     return TriMesh(uniq, inv.reshape(-1, 3).astype(np.int64))

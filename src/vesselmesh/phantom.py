@@ -229,13 +229,13 @@ def rasterize(spec: PhantomSpec) -> Volume:
     if spec.shape == "branched":
         branches.append("side")
 
-    # bounds check: tube plus 2w must fit inside the volume
+    # bounds check: at every centerline sample, the local radius plus 2w
+    # must fit inside the volume
     hi_extent = (np.asarray(spec.dims, dtype=np.float64) - 1.0) * sp
     for br in branches:
-        _, pts = _dense_curve_samples(spec, br, 256)
-        rad = spec.base_radius_mm if br == "main" else spec.branch_radius_mm
-        rmax = rad * (1.0 + max(spec.bump_amplitude, 0.0)) if br == "main" else rad
-        margin = rmax + 2.0 * w
+        s, pts = _dense_curve_samples(spec, br, 256)
+        rad = radius_profile(spec, s) if br == "main" else np.full_like(s, spec.branch_radius_mm)
+        margin = (rad + 2.0 * w)[:, None]
         if (pts - margin < 0).any() or (pts + margin > hi_extent).any():
             raise ValueError(f"phantom tube ({br}) exceeds volume bounds")
 

@@ -157,3 +157,14 @@ def test_validate_centerline_rules():
     pts = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 1], [0, 0, 2.0]])
     with pytest.raises(ValueError):
         cl.validate_centerline(pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_centerline_rejects_non_finite(bad):
+    pts = np.column_stack([np.zeros(6), np.zeros(6), np.linspace(0, 10, 6)])
+    pts[2, 1] = bad
+    pts[4, 0] = bad
+    with pytest.raises(ValueError, match=r"rows \[2, 4\] are not finite"):
+        cl.validate_centerline(pts)
+    with pytest.raises(ValueError, match="not finite"):
+        cl.frames(pts)

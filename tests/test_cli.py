@@ -180,3 +180,15 @@ def test_phantom_spec_flag(tmp_path, small_spec):
     assert res.returncode == 0
     assert (tmp_path / "out" / "volume.f32raw").exists()
     assert (tmp_path / "out" / "gt_surface.obj").exists()
+
+
+def test_non_finite_centerline_exit_code(tmp_path):
+    csv = tmp_path / "c.csv"
+    csv.write_text("0,0,0\n0,0,1\nnan,0,2\n0,0,3\n0,0,4\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"centerline": {"source": "csv", "path": str(csv)}}))
+    res = _run("centerline", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 3
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc["stage"] == "centerline"
+    assert "not finite" in doc["error"]

@@ -229,3 +229,37 @@ def test_loft_orientation_outward(straight_spec):
     vol = meshkit.signed_volume(mesh)
     assert vol > 0
     assert vol == pytest.approx(expected, rel=0.02)  # polygonal ring deficit
+
+
+def _stl_reference_bytes(mesh):
+    """Binary STL written one triangle at a time with struct."""
+    import struct
+
+    out = [b"vesselmesh binary stl".ljust(80, b"\0"), struct.pack("<I", mesh.n_triangles)]
+    for tri in mesh.vertices[mesh.triangles]:
+        p = tri.astype(np.float32).astype(np.float64)
+        n = np.cross(p[1] - p[0], p[2] - p[0])
+        norm = np.linalg.norm(n)
+        n = n / norm if norm > 0 else np.zeros(3)
+        out.append(struct.pack("<12fH", *n, *p.ravel(), 0))
+    return b"".join(out)
+
+
+def test_stl_bytes_match_per_triangle_writer(tmp_path, straight_spec):
+    tube = phantom.analytic_surface(straight_spec, 16, 16, caps=True)
+    sliver = meshkit.TriMesh(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0.0]]), np.array([[0, 1, 2]]))
+    for i, mesh in enumerate((tube, sliver)):
+        meshkit.write_stl(mesh, tmp_path / f"{i}.stl")
+        assert (tmp_path / f"{i}.stl").read_bytes() == _stl_reference_bytes(mesh)
+
+
+def test_stl_length_errors(tmp_path):
+    path = tmp_path / "c.stl"
+    meshkit.write_stl(_cube(), path)
+    raw = path.read_bytes()
+    (tmp_path / "short.stl").write_bytes(raw[:60])
+    with pytest.raises(ValueError, match="truncated"):
+        meshkit.read_stl(tmp_path / "short.stl")
+    (tmp_path / "cut.stl").write_bytes(raw[:-1])
+    with pytest.raises(ValueError, match="!= expected"):
+        meshkit.read_stl(tmp_path / "cut.stl")

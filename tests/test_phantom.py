@@ -140,6 +140,28 @@ def test_tube_exceeding_bounds_errors():
         phantom.rasterize(spec)
 
 
+def test_bounds_check_uses_local_radius():
+    # the aneurysm's peak radius only occurs mid-tube; its ends at r(s) fit
+    spec = phantom.PhantomSpec(shape="aneurysm", length_mm=40.0, base_radius_mm=5.36,
+                               bump_amplitude=0.31, dims=(64, 64, 64),
+                               spacing_mm=(0.9, 0.9, 0.9))
+    vol = phantom.rasterize(spec)
+    pts = phantom.analytic_centerline(spec, 16)
+    assert np.all(sample_trilinear(vol, pts) >= 0.99)
+
+
+def test_bulge_crossing_the_boundary_errors():
+    # ends fit, but the bulge r(s) + 2w reaches past x = 0 mid-tube
+    spec = phantom.PhantomSpec(shape="aneurysm", length_mm=40.0, base_radius_mm=5.0,
+                               bump_amplitude=1.5, dims=(32, 32, 64),
+                               spacing_mm=(0.9, 0.9, 0.9))
+    s = np.linspace(0.0, spec.length_mm, 256)
+    reach = phantom.radius_profile(spec, s) + 2.0 * spec.wall_softness
+    assert reach[0] < 31 * 0.9 / 2 < reach.max()
+    with pytest.raises(ValueError, match="exceeds"):
+        phantom.rasterize(spec)
+
+
 def test_spec_json_round_trip(arc_spec):
     again = phantom.PhantomSpec.from_json(arc_spec.to_json())
     assert again == arc_spec

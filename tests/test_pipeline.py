@@ -152,3 +152,15 @@ def test_cdm_source_in_pipeline(tmp_path):
 
     pts = cl.read_csv(path)
     assert pts.shape == (16, 3)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_centerline_is_a_stage_error(tmp_path, bad):
+    csv = tmp_path / "c.csv"
+    csv.write_text(f"0,0,0\n0,0,1\n0,{bad},2\n0,0,3\n0,0,4\n")
+    cfg = _tiny_config(centerline={"source": "csv", "path": str(csv)})
+    (tmp_path / "o").mkdir()
+    with pytest.raises(StageError, match="not finite") as err:
+        pipeline.stage_centerline(cfg, tmp_path / "o")
+    assert err.value.stage == "centerline"
+    assert not (tmp_path / "o" / "centerline.csv").exists()
