@@ -70,6 +70,15 @@ def signed_volume(mesh: TriMesh) -> float:
 
 @dataclass(frozen=True)
 class TopologyReport:
+    """Edge topology of a triangle mesh.
+
+    A boundary edge is used by one triangle; a boundary loop is one
+    connected component of the graph of boundary edges.  A non-manifold
+    edge is used by more than two triangles, or by two that traverse it in
+    the same direction: an orientation flip across a shared edge counts as
+    non-manifold, so ``consistent_orientation == manifold`` by construction.
+    """
+
     watertight: bool
     manifold: bool
     boundary_loop_count: int
@@ -90,75 +99,64 @@ class TopologyReport:
         }
 
 
-def _edge_incidence(triangles: np.ndarray):
-    """Map undirected edge -> list of directed occurrences (+1 for (a,b) a<b)."""
-    edges: dict[tuple[int, int], list[int]] = {}
-    for tri in triangles:
-        a, b, c = (int(tri[0]), int(tri[1]), int(tri[2]))
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edges.setdefault(key, []).append(1 if u < v else -1)
-    return edges
+def _edge_table(triangles: np.ndarray):
+    """Undirected edge table over the 3T directed edges a->b, b->c, c->a in triangle order.
 
-
-def _boundary_loop_count(boundary_edges) -> int:
-    if not boundary_edges:
-        return 0
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in boundary_edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in parent})
+    Returns (directed, edges, first, count, direction): the directed edges
+    (3T, 2); the unique sorted endpoint pairs (E, 2); the index in directed
+    of each edge's first occurrence; how many directed edges use it; and the
+    sum of their directions (+1 for u < v, -1 otherwise).
+    """
+    directed = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2)
+    # one int64 key per sorted endpoint pair: its order is the pairs' lexicographic order
+    n = int(triangles.max(initial=0)) + 1
+    ends = np.sort(directed, axis=1)
+    key, first, inverse, count = np.unique(
+        ends[:, 0] * n + ends[:, 1], return_index=True, return_inverse=True, return_counts=True
+    )
+    edges = np.stack(np.divmod(key, n), axis=1)
+    sign = np.where(directed[:, 0] < directed[:, 1], 1.0, -1.0)
+    direction = np.bincount(inverse, weights=sign, minlength=len(key))
+    return directed, edges, first, count, direction
 
 
 def validate(mesh: TriMesh, check_self_intersections: bool = True) -> TopologyReport:
     """Classify mesh topology.
 
     An edge is manifold iff shared by exactly two triangles with opposite
-    directed orientation.  Watertight requires zero boundary loops, a
-    manifold edge set, and globally consistent orientation.
+    directed orientation; a shared edge both triangles traverse the same way
+    is non-manifold, so orientation is consistent iff the mesh is manifold.
+    A boundary loop is one connected component of the boundary-edge graph.
+    Watertight requires zero boundary loops and a manifold edge set.
     """
     if mesh.n_triangles == 0:
         raise ValueError("cannot validate an empty mesh")
-    edges = _edge_incidence(mesh.triangles)
+    _, edges, _, count, direction = _edge_table(mesh.triangles)
 
-    boundary = []
-    non_manifold = 0
-    consistent = True
-    for key, dirs in edges.items():
-        if len(dirs) == 1:
-            boundary.append(key)
-        elif len(dirs) == 2:
-            if dirs[0] + dirs[1] != 0:
-                non_manifold += 1
-                consistent = False
-        else:
-            non_manifold += 1
-            consistent = False
+    non_manifold = int(((count > 2) | ((count == 2) & (direction != 0))).sum())
+    boundary = edges[count == 1]
+    loops = 0
+    if len(boundary):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
 
-    loops = _boundary_loop_count(boundary)
+        ends, label = np.unique(boundary, return_inverse=True)
+        label = label.reshape(-1, 2)
+        graph = coo_matrix(
+            (np.ones(len(label)), (label[:, 0], label[:, 1])), shape=(len(ends), len(ends))
+        )
+        loops = int(connected_components(graph, directed=False)[0])
     n_ref_vertices = len(np.unique(mesh.triangles))
     euler = n_ref_vertices - len(edges) + mesh.n_triangles
     manifold = non_manifold == 0
     self_x = count_self_intersections(mesh) if check_self_intersections else 0
-    watertight = manifold and consistent and loops == 0
     return TopologyReport(
-        watertight=watertight,
+        watertight=manifold and loops == 0,
         manifold=manifold,
         boundary_loop_count=loops,
         non_manifold_edge_count=non_manifold,
         euler_characteristic=euler,
-        consistent_orientation=consistent,
+        consistent_orientation=manifold,
         self_intersection_count=self_x,
     )
 
@@ -335,7 +333,12 @@ def _tri_tri_intersect(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 def count_self_intersections(mesh: TriMesh) -> int:
-    """Number of triangle pairs that properly intersect (shared-vertex pairs excluded)."""
+    """Number of triangle pairs that properly intersect (shared-vertex pairs excluded).
+
+    Known behaviour: two triangles that meet along a whole edge without
+    sharing vertex indices (an unwelded seam) count 0 when they are coplanar
+    and 1 when they are folded out of plane.
+    """
     tris = mesh.triangles
     if len(tris) < 2:
         return 0
@@ -366,26 +369,21 @@ def loft_rings(rings: np.ndarray, caps: bool) -> TriMesh:
     if nu < 2 or nv < 3:
         raise ValueError("need at least 2 rings of 3 points to loft")
     verts = rings.reshape(nu * nv, 3)
-    tris = []
-    for i in range(nu - 1):
-        base = i * nv
-        nxt = (i + 1) * nv
-        for j in range(nv):
-            j2 = (j + 1) % nv
-            tris.append((base + j, base + j2, nxt + j2))
-            tris.append((base + j, nxt + j2, nxt + j))
+    j = np.arange(nv)
+    j2 = (j + 1) % nv
+    # two wall triangles per quad, interleaved per (ring i, column j)
+    base = np.arange(nu - 1)[:, None] * nv
+    a, b, c, d = base + j, base + j2, base + nv + j2, base + nv + j
+    tris = [np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)]
     if caps:
         c0 = rings[0].mean(axis=0)
         c1 = rings[-1].mean(axis=0)
         verts = np.vstack([verts, c0[None, :], c1[None, :]])
-        a0 = nu * nv
-        a1 = nu * nv + 1
+        a0 = np.full(nv, nu * nv)
         start = (nu - 1) * nv
-        for j in range(nv):
-            j2 = (j + 1) % nv
-            tris.append((a0, j2, j))
-            tris.append((a1, start + j, start + j2))
-    return TriMesh(verts, np.asarray(tris, dtype=np.int64))
+        # the two fans interleaved per column j
+        tris.append(np.stack([a0, j2, j, a0 + 1, start + j, start + j2], axis=-1).reshape(-1, 3))
+    return TriMesh(verts, np.concatenate(tris))
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +519,11 @@ def points_inside_mesh(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
 
 def _ordered_boundary_loops(mesh: TriMesh) -> list[list[int]]:
     """Boundary loops as ordered vertex index lists (consistent winding assumed)."""
-    edges = {}
-    for tri in mesh.triangles:
-        a, b, c = (int(tri[0]), int(tri[1]), int(tri[2]))
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edges.setdefault(key, []).append((u, v))
-    nxt = {}
-    for key, occ in edges.items():
-        if len(occ) == 1:
-            u, v = occ[0]
-            # boundary loop runs opposite to the lone interior edge direction
-            nxt[v] = u
+    directed, _, first, count, _ = _edge_table(mesh.triangles)
+    # boundary loop runs opposite to the lone interior edge direction; where
+    # two lone edges end at one vertex the later one wins
+    lone = directed[np.sort(first[count == 1])]
+    nxt = dict(zip(lone[:, 1].tolist(), lone[:, 0].tolist()))
     loops = []
     seen = set()
     for start in sorted(nxt):

@@ -228,15 +228,23 @@ def _averaged_knots(t: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _solve_checked(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve matrix @ x = rhs for rhs of shape (n, ..., d), all columns at once.
+
+    Each (n, d) column passes the residual check on its own scale
+    max(1, |rhs column|).
+    """
+    flat = rhs.reshape(len(rhs), -1)
     try:
-        sol = np.linalg.solve(matrix, rhs)
+        sol = np.linalg.solve(matrix, flat)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"interpolation system singular: {exc}") from exc
-    resid = np.abs(matrix @ sol - rhs).max()
-    scale = max(1.0, np.abs(rhs).max())
-    if not np.isfinite(resid) or resid > _RESIDUAL_TOL * scale:
-        raise SingularSystemError(f"interpolation residual {resid:.3e} exceeds tolerance")
-    return sol
+    cols = (len(rhs), -1, rhs.shape[-1])
+    resid = np.abs(matrix @ sol - flat).reshape(cols).max(axis=(0, 2))
+    scale = np.maximum(1.0, np.abs(flat).reshape(cols).max(axis=(0, 2)))
+    bad = ~np.isfinite(resid) | (resid > _RESIDUAL_TOL * scale)
+    if bad.any():
+        raise SingularSystemError(f"interpolation residual {resid[bad].max():.3e} exceeds tolerance")
+    return sol.reshape(rhs.shape)
 
 
 def _bessel_derivative(t0, t1, t2, q0, q1, q2, at: float) -> np.ndarray:
@@ -245,6 +253,30 @@ def _bessel_derivative(t0, t1, t2, q0, q1, q2, at: float) -> np.ndarray:
     d1 = (2 * at - t0 - t2) / ((t1 - t0) * (t1 - t2))
     d2 = (2 * at - t0 - t1) / ((t2 - t0) * (t2 - t1))
     return d0 * q0 + d1 * q1 + d2 * q2
+
+
+def _bessel_system(degree: int, t: np.ndarray, q: np.ndarray):
+    """Clamped interpolation of samples q at parameters t with Bessel end derivatives.
+
+    Returns the clamped knot vector with t's inner values as knots, and the
+    (n+2) x (n+2) collocation rows and right-hand sides: the point at t[0],
+    the derivative there, the inner points, the derivative at t[-1], and the
+    point there.  q holds the n samples along its first axis; any trailing
+    axes (columns, coordinates) are carried through.
+    """
+    n = len(t)
+    knots = np.concatenate([np.zeros(degree + 1), t[1:-1], np.ones(degree + 1)])
+    rows = np.zeros((n + 2, n + 2))
+    for row, u in zip([0, *range(2, n), n + 1], t):
+        span, vals = basis_functions(knots, degree, u)
+        rows[row, span - degree : span + 1] = vals
+    for row, u in ((1, t[0]), (n, t[-1])):
+        span, ders = basis_derivatives(knots, degree, u, 1)
+        rows[row, span - degree : span + 1] = ders[1]
+    d0 = _bessel_derivative(t[0], t[1], t[2], q[0], q[1], q[2], t[0])
+    d1 = _bessel_derivative(t[-3], t[-2], t[-1], q[-3], q[-2], q[-1], t[-1])
+    rhs = np.concatenate([q[:1], d0[None], q[1:-1], d1[None], q[-1:]])
+    return knots, rows, rhs
 
 
 def interpolate_curve(
@@ -298,27 +330,9 @@ def interpolate_curve(
         return NurbsCurve(degree, KnotVector(knots, "clamped"), ctrl, np.ones(n))
 
     # end-derivative (Bessel) conditions: n + 2 unknowns
-    knots = np.concatenate([np.zeros(degree + 1), t[1:-1], np.ones(degree + 1)])
-    n_ctrl = n + 2
-    rows = np.zeros((n_ctrl, n_ctrl))
-    rhs = np.zeros((n_ctrl, 3))
-    rows[0, : degree + 1] = basis_matrix(knots, degree, n_ctrl, [t[0]])[0, : degree + 1]
-    rhs[0] = q[0]
-    span, ders = basis_derivatives(knots, degree, t[0], 1)
-    rows[1, span - degree : span + 1] = ders[1]
-    rhs[1] = _bessel_derivative(t[0], t[1], t[2], q[0], q[1], q[2], t[0])
-    for i in range(1, n - 1):
-        span, vals = basis_functions(knots, degree, t[i])
-        rows[i + 1, span - degree : span + 1] = vals
-        rhs[i + 1] = q[i]
-    span, ders = basis_derivatives(knots, degree, t[-1], 1)
-    rows[n, span - degree : span + 1] = ders[1]
-    rhs[n] = _bessel_derivative(t[-3], t[-2], t[-1], q[-3], q[-2], q[-1], t[-1])
-    span, vals = basis_functions(knots, degree, t[-1])
-    rows[n + 1, span - degree : span + 1] = vals
-    rhs[n + 1] = q[-1]
+    knots, rows, rhs = _bessel_system(degree, t, q)
     ctrl = _solve_checked(rows, rhs)
-    return NurbsCurve(degree, KnotVector(knots, "clamped"), ctrl, np.ones(n_ctrl))
+    return NurbsCurve(degree, KnotVector(knots, "clamped"), ctrl, np.ones(n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -438,35 +452,8 @@ def skin_surface(contours, degree_u: int = 3, degree_v: int = 3) -> NurbsSurface
     t_bar = t_cols.mean(axis=0)
     t_bar[0], t_bar[-1] = 0.0, 1.0
 
-    knots_u = np.concatenate(
-        [np.zeros(degree_u + 1), t_bar[1:-1], np.ones(degree_u + 1)]
-    )
-    n_ctrl_u = k + 2
-    rows = np.zeros((n_ctrl_u, n_ctrl_u))
-    span, vals = basis_functions(knots_u, degree_u, t_bar[0])
-    rows[0, span - degree_u : span + 1] = vals
-    span, ders = basis_derivatives(knots_u, degree_u, t_bar[0], 1)
-    rows[1, span - degree_u : span + 1] = ders[1]
-    for i in range(1, k - 1):
-        span, vals = basis_functions(knots_u, degree_u, t_bar[i])
-        rows[i + 1, span - degree_u : span + 1] = vals
-    span, ders = basis_derivatives(knots_u, degree_u, t_bar[-1], 1)
-    rows[k, span - degree_u : span + 1] = ders[1]
-    span, vals = basis_functions(knots_u, degree_u, t_bar[-1])
-    rows[k + 1, span - degree_u : span + 1] = vals
-
-    net = np.zeros((n_ctrl_u, m, 3))
-    for j in range(m):
-        col = sect_ctrl[:, j, :]
-        rhs = np.zeros((n_ctrl_u, 3))
-        rhs[0] = col[0]
-        rhs[1] = _bessel_derivative(t_bar[0], t_bar[1], t_bar[2], col[0], col[1], col[2], t_bar[0])
-        rhs[2 : k] = col[1 : k - 1]
-        rhs[k] = _bessel_derivative(
-            t_bar[-3], t_bar[-2], t_bar[-1], col[-3], col[-2], col[-1], t_bar[-1]
-        )
-        rhs[k + 1] = col[-1]
-        net[:, j, :] = _solve_checked(rows, rhs)
+    knots_u, rows, rhs = _bessel_system(degree_u, t_bar, sect_ctrl)
+    net = _solve_checked(rows, rhs)
 
     net_wrapped = np.concatenate([net, net[:, :degree_v, :]], axis=1)
     weights = np.ones(net_wrapped.shape[:2])

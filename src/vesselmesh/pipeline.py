@@ -9,6 +9,7 @@ seeds in the config.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,17 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Raise any failure inside the block as StageError(name); StageErrors pass through."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def _write_json(path, obj) -> None:
@@ -49,12 +61,17 @@ def _cfg(config: dict, key: str, default=None):
 # ---------------------------------------------------------------------------
 # stages
 
+# defaults shared by more than one stage
+_TESSELLATION = 64  # surface.tess_u and surface.tess_v
+_CAPS = True  # surface.caps
+_CENTERLINE_K = 16  # centerline.k
+
 
 def stage_volume(config: dict, out: Path) -> Path:
     """Materialize the input volume (rasterize a phantom or load raw files)."""
     out.mkdir(parents=True, exist_ok=True)
     vol_path = out / "volume.f32raw"
-    try:
+    with _stage("volume"):
         if "phantom" in config:
             spec = phantom.PhantomSpec.from_json(json.dumps(config["phantom"]))
             (out / "phantom_spec.json").write_text(spec.to_json() + "\n")
@@ -63,12 +80,12 @@ def stage_volume(config: dict, out: Path) -> Path:
             surf_cfg = _cfg(config, "surface", {})
             gt = phantom.analytic_surface(
                 spec,
-                nu=int(surf_cfg.get("tess_u", 64)),
-                nv=int(surf_cfg.get("tess_v", 64)),
-                caps=bool(surf_cfg.get("caps", True)),
+                nu=int(surf_cfg.get("tess_u", _TESSELLATION)),
+                nv=int(surf_cfg.get("tess_v", _TESSELLATION)),
+                caps=bool(surf_cfg.get("caps", _CAPS)),
             )
             write_obj(gt, out / "gt_surface.obj")
-            k = int(_cfg(config, "centerline", {}).get("k", 16))
+            k = int(_cfg(config, "centerline", {}).get("k", _CENTERLINE_K))
             cl.write_csv(phantom.analytic_centerline(spec, k), out / "gt_centerline.csv")
         elif "volume" in config:
             src = Path(config["volume"]["path"])
@@ -78,10 +95,6 @@ def stage_volume(config: dict, out: Path) -> Path:
             store_raw(vol, vol_path)
         else:
             raise KeyError("config needs a 'phantom' or 'volume' section")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("volume", str(exc)) from exc
     return vol_path
 
 
@@ -89,9 +102,9 @@ def stage_centerline(config: dict, out: Path) -> Path:
     """Produce the (smoothed, k-station) centerline CSV used for slicing."""
     ccfg = _cfg(config, "centerline", {})
     source = ccfg.get("source", "analytic")
-    k = int(ccfg.get("k", 16))
+    k = int(ccfg.get("k", _CENTERLINE_K))
     path = out / "centerline.csv"
-    try:
+    with _stage("centerline"):
         if source == "analytic":
             spec = phantom.load_spec(out / "phantom_spec.json")
             raw = phantom.analytic_centerline(spec, k)
@@ -107,10 +120,6 @@ def stage_centerline(config: dict, out: Path) -> Path:
             raise ValueError(f"unknown centerline source {source!r}")
         smoothed = cl.smooth_resample(raw, k) if ccfg.get("smooth", True) else raw
         cl.write_csv(smoothed, path)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("centerline", str(exc)) from exc
     return path
 
 
@@ -135,17 +144,13 @@ def _slice_geometry(config: dict, out: Path):
 
 def stage_slices(config: dict, out: Path) -> Path:
     """Optional inspection dump: one PGM per station."""
-    try:
+    with _stage("slice"):
         vol, planes = _slice_geometry(config, out)
         slice_dir = out / "slices"
         slice_dir.mkdir(exist_ok=True)
         for i, plane in enumerate(planes):
             slc = slicer.extract_slice(vol, plane)
             slicer.write_pgm(slc, slice_dir / f"station_{i:03d}.pgm")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("slice", str(exc)) from exc
     return out / "slices"
 
 
@@ -156,7 +161,7 @@ def stage_segment(config: dict, out: Path) -> Path:
     threshold = float(ccfg.get("threshold", 0.5))
     masks_dir = ccfg.get("masks_dir")
     path = out / "contours_raw.json"
-    try:
+    with _stage("segment"):
         vol, planes = _slice_geometry(config, out)
         stations = []
         for i, plane in enumerate(planes):
@@ -189,10 +194,6 @@ def stage_segment(config: dict, out: Path) -> Path:
                 }
             )
         _write_json(path, {"stations": stations})
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("segment", str(exc)) from exc
     return path
 
 
@@ -206,7 +207,7 @@ def read_contour_set(path) -> list[lumenseg.Contour]:
 
 def stage_align(config: dict, out: Path) -> Path:
     path = out / "contours.json"
-    try:
+    with _stage("contours"):
         doc = _read_json(out / "contours_raw.json")
         cs = [
             lumenseg.Contour(np.asarray(st["points"], dtype=np.float64), "world-3d")
@@ -216,16 +217,12 @@ def stage_align(config: dict, out: Path) -> Path:
         for st, contour in zip(doc["stations"], aligned):
             st["points"] = contour.points.tolist()
         _write_json(path, doc)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("contours", str(exc)) from exc
     return path
 
 
 def stage_fit(config: dict, out: Path) -> Path:
     path = out / "surface.nurbs.json"
-    try:
+    with _stage("fit"):
         scfg = _cfg(config, "surface", {})
         aligned = read_contour_set(out / "contours.json")
         surface = nurbs.skin_surface(
@@ -234,31 +231,23 @@ def stage_fit(config: dict, out: Path) -> Path:
             degree_v=int(scfg.get("degree_v", 3)),
         )
         nurbs.write_surface_json(surface, path)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("fit", str(exc)) from exc
     return path
 
 
 def stage_mesh(config: dict, out: Path) -> Path:
-    try:
+    with _stage("mesh"):
         scfg = _cfg(config, "surface", {})
         surface = nurbs.read_surface_json(out / "surface.nurbs.json")
         mesh = nurbs.tessellate(
             surface,
-            nu=int(scfg.get("tess_u", 64)),
-            nv=int(scfg.get("tess_v", 64)),
-            caps=bool(scfg.get("caps", True)),
+            nu=int(scfg.get("tess_u", _TESSELLATION)),
+            nv=int(scfg.get("tess_v", _TESSELLATION)),
+            caps=bool(scfg.get("caps", _CAPS)),
         ).clean()
         write_obj(mesh, out / "mesh.obj")
         write_stl(mesh, out / "mesh.stl")
         report = validate(mesh)
         _write_json(out / "topology.json", report.to_dict())
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("mesh", str(exc)) from exc
     return out / "mesh.obj"
 
 
@@ -271,7 +260,7 @@ def stage_metrics(config: dict, out: Path) -> Path | None:
         gt_path = out / "gt_surface.obj"
     if gt_path is None:
         return None
-    try:
+    with _stage("metrics"):
         mesh = read_obj(out / "mesh.obj")
         gt = read_obj(gt_path)
         seed = int(_cfg(config, "seed", 0))
@@ -280,10 +269,6 @@ def stage_metrics(config: dict, out: Path) -> Path | None:
             mesh, gt, seed=seed, inputs={"mesh": "mesh.obj", "reference": ref_label}
         )
         _write_json(out / "metrics.json", report)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("metrics", str(exc)) from exc
     return out / "metrics.json"
 
 
@@ -354,7 +339,7 @@ def compare_baseline(config: dict, out) -> Path:
     summary = run_pipeline(config, out)
     if "metrics" not in summary:
         raise StageError("metrics", "baseline comparison requires a ground-truth surface")
-    try:
+    with _stage("compare"):
         vol = load_raw(out / "volume.f32raw")
         iso = float(_cfg(config, "baseline", {}).get("iso", 0.5))
         mc = marching_cubes(vol, iso).clean()
@@ -370,10 +355,6 @@ def compare_baseline(config: dict, out) -> Path:
             "marching_cubes": {"metrics": mc_metrics, "topology": mc_report.to_dict()},
         }
         _write_json(out / "compare.json", doc)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("compare", str(exc)) from exc
     return out / "compare.json"
 
 
@@ -427,7 +408,7 @@ def train_cdm(config: dict, out) -> Path:
     """Train the diffusion model per config; writes checkpoint + loss CSV."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
+    with _stage("cdm-train"):
         k = int(_cfg(config, "k", 16))
         sched = cdm.NoiseSchedule.desk_default(int(_cfg(config, "timesteps", 200)))
         specs = phantom_family(_cfg(config, "family", {}))
@@ -444,10 +425,6 @@ def train_cdm(config: dict, out) -> Path:
         for it, loss, smooth in curve:
             lines.append(f"{it},{loss!r},{smooth!r}")
         (out / "loss_curve.csv").write_text("\n".join(lines) + "\n")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("cdm-train", str(exc)) from exc
     return out / "model"
 
 
@@ -455,7 +432,7 @@ def sample_cdm(config: dict, out) -> Path:
     """Sample one centerline from a trained checkpoint, conditioned on a volume."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
+    with _stage("cdm-sample"):
         if "phantom" in config:
             spec = phantom.PhantomSpec.from_json(json.dumps(config["phantom"]))
             vol = phantom.rasterize(spec)
@@ -465,8 +442,4 @@ def sample_cdm(config: dict, out) -> Path:
         rng = np.random.default_rng(int(_cfg(config, "seed", 0)))
         pts = cdm.sample(vol, cdm.VolumeFeatureEncoder(vol), den, sched, rng)
         cl.write_csv(pts, out / "sampled_centerline.csv")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("cdm-sample", str(exc)) from exc
     return out / "sampled_centerline.csv"

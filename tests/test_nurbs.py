@@ -297,3 +297,34 @@ def test_knot_vector_style_invariants():
     vals[-1] += 0.2  # break the wrap spacing
     with pytest.raises(ValueError, match="wrap"):
         nurbs.KnotVector(vals, "periodic").check_style(3)
+
+
+def test_skin_batched_solve_matches_per_column_solves():
+    rng = np.random.default_rng(4)
+    stacks = [c.points + rng.normal(scale=0.2, size=c.points.shape)
+              for c in _circle_contours(5.0, 24, np.linspace(0, 30, 11))]
+    surf = nurbs.skin_surface(stacks)
+    pts = np.stack(stacks)
+    sect = np.stack([nurbs.interpolate_curve(p, 3, closed=True).control_points[:24] for p in pts])
+    t_bar = np.stack([nurbs.chord_parameters(pts[:, j], True) for j in range(24)]).mean(axis=0)
+    t_bar[0], t_bar[-1] = 0.0, 1.0
+    knots, rows, rhs = nurbs._bessel_system(3, t_bar, sect)
+    assert np.array_equal(knots, surf.knots_u.values)
+    for j in range(24):
+        assert np.array_equal(surf.control_points[:, j], np.linalg.solve(rows, rhs[:, j]))
+
+
+def test_solve_checked_scales_each_column(monkeypatch):
+    matrix = np.eye(4) + 0.1
+    rhs = np.stack([np.full((4, 3), 1e3), np.ones((4, 3))], axis=1)  # (4, 2 columns, 3)
+    exact = np.linalg.solve
+
+    def off_in_small_column(a, b):
+        sol = exact(a, b)
+        sol[:, 3:] += 1e-8  # far above 1e-9 of the small column, below 1e-9 * 1e3
+        return sol
+
+    assert nurbs._solve_checked(matrix, rhs).shape == rhs.shape
+    monkeypatch.setattr(np.linalg, "solve", off_in_small_column)
+    with pytest.raises(nurbs.SingularSystemError, match="residual"):
+        nurbs._solve_checked(matrix, rhs)
