@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .nurbs import basis_functions
+
 
 def validate_centerline(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
@@ -59,8 +61,7 @@ def tangents(points) -> np.ndarray:
     k = len(pts)
     t = np.zeros_like(pts)
     t[0] = pts[1] - pts[0]
-    for i in range(1, k - 1):
-        t[i] = pts[i + 1] - pts[i - 1]
+    t[1:-1] = pts[2:] - pts[:-2]
     norms = np.linalg.norm(t[: k - 1], axis=1)
     if (norms < 1e-14).any():
         raise ValueError("zero-length tangent difference")
@@ -121,13 +122,6 @@ def _clamped_uniform_knots(n_ctrl: int, degree: int = 3) -> np.ndarray:
     return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
 
 
-def _bspline_point(knots, ctrl, degree, u):
-    from .nurbs import basis_functions
-
-    span, vals = basis_functions(knots, degree, u)
-    return vals @ ctrl[span - degree : span + 1]
-
-
 def smooth_resample(points, k_out: int) -> np.ndarray:
     """Smooth the polyline with a cubic B-spline and resample uniformly.
 
@@ -143,20 +137,20 @@ def smooth_resample(points, k_out: int) -> np.ndarray:
     knots = _clamped_uniform_knots(len(pts), degree)
     n_spans = len(pts) - degree
 
+    def curve(us):
+        # one (1, 4) @ (4, 3) product per parameter over its 4 control
+        # points: the same bits as a scalar evaluation, memory linear in us
+        span, vals = basis_functions(knots, degree, us)
+        return (vals[:, None, :] @ pts[span[:, None] + np.arange(-degree, 1)])[:, 0]
+
     us = np.linspace(0.0, 1.0, n_spans * _QUAD_SEGMENTS + 1)
-    samples = np.empty((len(us), 3))
-    for i, u in enumerate(us):
-        samples[i] = _bspline_point(knots, pts, degree, u)
+    samples = curve(us)
     seg = np.linalg.norm(np.diff(samples, axis=0), axis=1)
     s_cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = s_cum[-1]
 
     targets = np.linspace(0.0, total, k_out)
-    u_targets = np.interp(targets, s_cum, us)
-    out = np.empty((k_out, 3))
-    for i, u in enumerate(u_targets):
-        out[i] = _bspline_point(knots, pts, degree, u)
-    return out
+    return curve(np.interp(targets, s_cum, us))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +179,8 @@ def decode_image(image, bounds_lo, bounds_hi) -> np.ndarray:
 
 
 def write_csv(points, path) -> None:
-    pts = np.asarray(points, dtype=np.float64)
-    lines = [f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}" for p in pts]
+    rows = np.asarray(points, dtype=np.float64).tolist()
+    lines = [f"{x:.9g},{y:.9g},{z:.9g}" for x, y, z in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -631,11 +631,8 @@ def merge_branches(main: TriMesh, branch: TriMesh) -> tuple[TriMesh, JunctionRep
 
 def write_obj(mesh: TriMesh, path) -> None:
     """ASCII OBJ, 9 significant digits, 1-based face indices."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -647,13 +644,12 @@ def read_obj(path) -> TriMesh:
         if not parts:
             continue
         if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
+            verts.append(parts[1:4])
         elif parts[0] == "f":
-            idx = [int(p.split("/")[0]) - 1 for p in parts[1:4]]
-            tris.append(idx)
+            tris.append([p.split("/")[0] for p in parts[1:4]])
     if not verts or not tris:
         raise ValueError(f"no mesh data in {path}")
-    return TriMesh(np.asarray(verts), np.asarray(tris, dtype=np.int64))
+    return TriMesh(np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64) - 1)
 
 
 # one binary STL record: facet normal, three vertices, attribute byte count

@@ -58,48 +58,50 @@ class KnotVector:
                 raise ValueError("periodic knot vector spacing is not wrap-consistent")
 
 
-def find_span(knots: np.ndarray, degree: int, u: float, n_ctrl: int) -> int:
+def find_span(knots: np.ndarray, degree: int, u, n_ctrl: int):
+    """Knot span of each parameter: the last index with knots[span] <= u.
+
+    A scalar u gives an int, an array gives an int array of its shape.  At
+    u >= the domain end the span steps back over repeated end knots.
+    """
+    us = np.asarray(u, dtype=np.float64)
     lo = knots[degree]
     hi = knots[n_ctrl]
-    if u < lo - _DOMAIN_TOL or u > hi + _DOMAIN_TOL:
-        raise ValueError(f"parameter {u} outside knot domain [{lo}, {hi}]")
-    if u >= hi:
-        span = n_ctrl - 1
-        while span > degree and knots[span] == knots[span + 1]:
-            span -= 1
-        return span
-    a, b = degree, n_ctrl
-    while a + 1 < b:
-        mid = (a + b) // 2
-        if u < knots[mid]:
-            b = mid
-        else:
-            a = mid
-    return a
+    outside = (us < lo - _DOMAIN_TOL) | (us > hi + _DOMAIN_TOL)
+    if outside.any():
+        raise ValueError(f"parameter {us[outside].flat[0]} outside knot domain [{lo}, {hi}]")
+    end = n_ctrl - 1
+    while end > degree and knots[end] == knots[end + 1]:
+        end -= 1
+    span = np.clip(np.searchsorted(knots, us, side="right") - 1, degree, n_ctrl - 1)
+    span = np.where(us >= hi, end, span)
+    return int(span) if span.ndim == 0 else span
 
 
-def basis_functions(knots, degree: int, u: float):
+def basis_functions(knots, degree: int, u):
     """Nonzero B-spline basis values at u (Cox-de Boor recursion).
 
     Returns (span, values) where values holds N_{span-degree..span, degree}(u)
-    and sums to 1.
+    and sums to 1.  For an array u, span has u's shape and values has a
+    trailing axis of length degree+1; the recursion runs element-wise with
+    the same operations as for a scalar, so the values are bit-identical.
     """
     knots = np.asarray(knots, dtype=np.float64)
-    n_ctrl = len(knots) - degree - 1
-    span = find_span(knots, degree, float(u), n_ctrl)
-    vals = np.zeros(degree + 1)
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    vals[0] = 1.0
+    us = np.asarray(u, dtype=np.float64)
+    span = find_span(knots, degree, us, len(knots) - degree - 1)
+    vals = np.zeros(us.shape + (degree + 1,))
+    left = np.zeros_like(vals)
+    right = np.zeros_like(vals)
+    vals[..., 0] = 1.0
     for j in range(1, degree + 1):
-        left[j] = u - knots[span + 1 - j]
-        right[j] = knots[span + j] - u
+        left[..., j] = us - knots[span + 1 - j]
+        right[..., j] = knots[span + j] - us
         saved = 0.0
         for r in range(j):
-            tmp = vals[r] / (right[r + 1] + left[j - r])
-            vals[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        vals[j] = saved
+            tmp = vals[..., r] / (right[..., r + 1] + left[..., j - r])
+            vals[..., r] = saved + right[..., r + 1] * tmp
+            saved = left[..., j - r] * tmp
+        vals[..., j] = saved
     return span, vals
 
 
@@ -156,11 +158,25 @@ def basis_derivatives(knots, degree: int, u: float, order: int):
 def basis_matrix(knots, degree: int, n_ctrl: int, us) -> np.ndarray:
     """Dense collocation matrix N[i, j] = N_{j,degree}(us[i])."""
     us = np.atleast_1d(np.asarray(us, dtype=np.float64))
+    span, vals = basis_functions(knots, degree, us)
     out = np.zeros((len(us), n_ctrl))
-    for i, u in enumerate(us):
-        span, vals = basis_functions(knots, degree, u)
-        out[i, span - degree : span + 1] = vals
+    np.put_along_axis(out, span[:, None] + np.arange(-degree, 1), vals, axis=1)
     return out
+
+
+def _periodic_system(m: int, degree: int):
+    """Periodic uniform knots and the m x m collocation matrix at u = i/m.
+
+    The unknowns are the m core control points.  The last ``degree``
+    control points wrap onto the first ones, so their basis columns are
+    folded onto the first ``degree`` columns.
+    """
+    if m < degree + 1:
+        raise ValueError(f"need at least {degree + 1} points for degree {degree}")
+    knots = (np.arange(m + 2 * degree + 1) - degree) / m
+    full = basis_matrix(knots, degree, m + degree, np.arange(m) / m)
+    full[:, :degree] += full[:, m:]
+    return knots, full[:, :m]
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +283,7 @@ def _bessel_system(degree: int, t: np.ndarray, q: np.ndarray):
     n = len(t)
     knots = np.concatenate([np.zeros(degree + 1), t[1:-1], np.ones(degree + 1)])
     rows = np.zeros((n + 2, n + 2))
-    for row, u in zip([0, *range(2, n), n + 1], t):
-        span, vals = basis_functions(knots, degree, u)
-        rows[row, span - degree : span + 1] = vals
+    rows[[0, *range(2, n), n + 1]] = basis_matrix(knots, degree, n + 2, t)
     for row, u in ((1, t[0]), (n, t[-1])):
         span, ders = basis_derivatives(knots, degree, u, 1)
         rows[row, span - degree : span + 1] = ders[1]
@@ -306,18 +320,10 @@ def interpolate_curve(
         raise ValueError(f"unknown parameterization {parameterization!r}")
 
     if closed:
-        m = n
-        t = np.arange(m) / m
-        knots = (np.arange(m + 2 * degree + 1) - degree) / m
-        amat = np.zeros((m, m))
-        for i, ti in enumerate(t):
-            span, vals = basis_functions(knots, degree, ti)
-            for r, val in enumerate(vals):
-                amat[i, (span - degree + r) % m] += val
+        knots, amat = _periodic_system(n, degree)
         ctrl_core = _solve_checked(amat, q)
         ctrl = np.vstack([ctrl_core, ctrl_core[:degree]])
-        kv = KnotVector(knots, "periodic")
-        return NurbsCurve(degree, kv, ctrl, np.ones(len(ctrl)))
+        return NurbsCurve(degree, KnotVector(knots, "periodic"), ctrl, np.ones(len(ctrl)))
 
     t = chord_parameters(q, parameterization == "centripetal")
     if np.diff(t).min() < 1e-12:
@@ -442,10 +448,9 @@ def skin_surface(contours, degree_u: int = 3, degree_v: int = 3) -> NurbsSurface
         raise ValueError("contours must share the same point count")
     pts = np.stack(stacks)  # (k, m, 3)
 
-    # stage 1: periodic fit of each section
-    v_curves = [interpolate_curve(pts[i], degree_v, closed=True) for i in range(k)]
-    knots_v = v_curves[0].knots
-    sect_ctrl = np.stack([c.control_points[:m] for c in v_curves])  # (k, m, 3)
+    # stage 1: periodic fit of every section in one solve
+    knots_v, amat = _periodic_system(m, degree_v)
+    sect_ctrl = _solve_checked(amat, pts.transpose(1, 0, 2)).transpose(1, 0, 2)  # (k, m, 3)
 
     # common u parameters: centripetal per contour-point column, averaged
     t_cols = np.stack([chord_parameters(pts[:, j, :], True) for j in range(m)])
@@ -461,7 +466,7 @@ def skin_surface(contours, degree_u: int = 3, degree_v: int = 3) -> NurbsSurface
         degree_u=degree_u,
         degree_v=degree_v,
         knots_u=KnotVector(knots_u, "clamped"),
-        knots_v=knots_v,
+        knots_v=KnotVector(knots_v, "periodic"),
         control_points=net_wrapped,
         weights=weights,
     )

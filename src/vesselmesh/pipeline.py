@@ -197,23 +197,23 @@ def stage_segment(config: dict, out: Path) -> Path:
     return path
 
 
-def read_contour_set(path) -> list[lumenseg.Contour]:
-    doc = _read_json(path)
+def _station_contours(doc: dict) -> list[lumenseg.Contour]:
+    """The world-3d contour of every station of a parsed contour-set document."""
     return [
         lumenseg.Contour(np.asarray(st["points"], dtype=np.float64), "world-3d")
         for st in doc["stations"]
     ]
 
 
+def read_contour_set(path) -> list[lumenseg.Contour]:
+    return _station_contours(_read_json(path))
+
+
 def stage_align(config: dict, out: Path) -> Path:
     path = out / "contours.json"
     with _stage("contours"):
         doc = _read_json(out / "contours_raw.json")
-        cs = [
-            lumenseg.Contour(np.asarray(st["points"], dtype=np.float64), "world-3d")
-            for st in doc["stations"]
-        ]
-        aligned = contour_align.align_chain(cs)
+        aligned = contour_align.align_chain(_station_contours(doc))
         for st, contour in zip(doc["stations"], aligned):
             st["points"] = contour.points.tolist()
         _write_json(path, doc)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -34,6 +35,63 @@ def test_pipeline_deterministic(tmp_path):
                  "mesh.obj", "mesh.stl", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+
+# sha256 of the canonical artifacts (the README's arc config, and a straight
+# tube at the same 64^3 grid).  A refactor must keep these bytes; a change
+# that moves them on purpose records the new values and says why.  They hold
+# for the numpy/OpenBLAS build the suite runs on: another LAPACK or libm can
+# move the last bits of the NURBS JSON.
+_CANONICAL_BASE = {
+    "seed": 0,
+    "centerline": {"source": "analytic", "k": 16},
+    "contours": {"points": 32},
+    "slice": {"n_pix": 64},
+    "surface": {"tess_u": 64, "tess_v": 64, "caps": True},
+}
+_CANONICAL_PHANTOMS = {
+    "arc": {"shape": "arc", "length_mm": 39.27, "base_radius_mm": 5.0, "arc_radius_mm": 25.0,
+            "dims": [64, 64, 64], "spacing_mm": [0.9, 0.9, 0.9]},
+    "straight": {"shape": "straight", "length_mm": 40.0, "base_radius_mm": 6.0,
+                 "dims": [64, 64, 64], "spacing_mm": [0.9, 0.9, 0.9]},
+}
+_CANONICAL_SHA256 = {
+    "arc": {
+        "centerline.csv":
+            "06c60ed83cd1d18d0a000ada819c1983f81051fcfe88ac7804be998eb532c1ec",
+        "contours.json":
+            "82be3be4c273106361cdc4c7cc815389fd61432c5fb4e9ea95692f9caf853a38",
+        "surface.nurbs.json":
+            "36005cbae8c4475c53dd59559aa41ea7e91280c0f8538cb55f614645fd327a67",
+        "mesh.obj":
+            "8565bb65026cead92aa4f0e6c61f075837db27de608985b3ea62e8e5a3f73947",
+        "mesh.stl":
+            "c0de527dbedb60ed43b8566fe4075510360498204078645802ba02368907981c",
+        "topology.json":
+            "c4dae4c0b95683dfd02bec7854d24e621d8a1b054dcfb23dcd15853c987e8aa5",
+    },
+    "straight": {
+        "centerline.csv":
+            "558c72c44653fd3837df90ca927ec2da096dc28f138d0da9c67bb25cccce3263",
+        "contours.json":
+            "6879f9b1ff50187bfc2b41e11d01a7dd73489e520348c7338d21b9680dd629d6",
+        "surface.nurbs.json":
+            "e0588828ddbbba634403ef3917c9fe4bb652aac113ec08f314f375d68415833a",
+        "mesh.obj":
+            "fc1814354c7480706fb73b4ddc2b26f12d4d1e54f4dc7e93df60965d5b8a0e53",
+        "mesh.stl":
+            "268f5f60516d4d76b516324807d0ecdaff88435d94e213db9553f636903eb68a",
+        "topology.json":
+            "c4dae4c0b95683dfd02bec7854d24e621d8a1b054dcfb23dcd15853c987e8aa5",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CANONICAL_PHANTOMS))
+def test_canonical_artifact_bytes(tmp_path, case):
+    pipeline.run_pipeline({**_CANONICAL_BASE, "phantom": _CANONICAL_PHANTOMS[case]}, tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _CANONICAL_SHA256[case]}
+    assert got == _CANONICAL_SHA256[case]
 
 def test_csv_centerline_source(tmp_path):
     base = tmp_path / "base"
