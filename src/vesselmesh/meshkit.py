@@ -400,16 +400,13 @@ _CORNER_OFFSETS = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
-# canonical global key (axis, x, y, z) per cell-local edge
-_EDGE_KEYS = tuple(
-    (
-        0 if _CORNER_OFFSETS[a][0] != _CORNER_OFFSETS[b][0]
-        else (1 if _CORNER_OFFSETS[a][1] != _CORNER_OFFSETS[b][1] else 2),
-        min(_CORNER_OFFSETS[a][0], _CORNER_OFFSETS[b][0]),
-        min(_CORNER_OFFSETS[a][1], _CORNER_OFFSETS[b][1]),
-        min(_CORNER_OFFSETS[a][2], _CORNER_OFFSETS[b][2]),
-    )
-    for a, b in _EDGE_CORNERS
+_EDGE_BITS = np.array(EDGE_TABLE, dtype=np.int64)[:, None] >> np.arange(12) & 1
+# TRI_TABLE rows padded with -1 to one (256, 15) array
+_TRI_PAD = np.array([row + [-1] * (15 - len(row)) for row in TRI_TABLE], dtype=np.int64)
+_CORNER_XYZ = np.array(_CORNER_OFFSETS)[np.array(_EDGE_CORNERS)]  # (edge, end a/b, xyz)
+# global edge key (axis, x, y, z) per cell-local edge, offsets from the cell's low corner
+_EDGE_KEYS = np.column_stack(
+    [np.argmax(_CORNER_XYZ[:, 0] != _CORNER_XYZ[:, 1], axis=1), _CORNER_XYZ.min(axis=1)]
 )
 
 
@@ -419,7 +416,8 @@ def marching_cubes(vol: Volume, iso: float = 0.5) -> TriMesh:
     Vertices are produced in world coordinates and welded by global edge
     key, so the result is vertex-shared.  Triangles are wound outward for
     superlevel-set ({value >= iso}) interiors.  No ambiguity resolution is
-    applied.
+    applied.  Vertices are numbered by the first (active cell, cut edge)
+    pair that uses them, cells in C order and edges 0..11 within a cell.
     """
     data = vol.data.astype(np.float64)
     if not (float(data.min()) < iso < float(data.max())):
@@ -433,87 +431,89 @@ def marching_cubes(vol: Volume, iso: float = 0.5) -> TriMesh:
         ci |= sl.astype(np.uint16) << bit
 
     active = np.argwhere((ci > 0) & (ci < 255))
+    if not len(active):
+        raise ValueError("iso-surface is empty")
+    cases = ci[tuple(active.T)]
+    # (active cell, cut edge) pairs, cell-major and edge-minor
+    cell, edge = np.nonzero(_EDGE_BITS[cases])
+    xyz = active[cell, ::-1]
+    ax = _EDGE_KEYS[edge, 0]
+    gx, gy, gz = (xyz + _EDGE_KEYS[edge, 1:]).T
+    _, first, inverse = np.unique(
+        ((ax * nx + gx) * ny + gy) * nz + gz, return_index=True, return_inverse=True
+    )
+    # number the vertices by first occurrence
+    order = np.argsort(first)
+    vid = np.argsort(order)[inverse]
+    src = first[order]
+    ia = xyz[src, None] + _CORNER_XYZ[edge[src]]  # (V, end a/b, xyz)
+    va, vb = data[ia[..., 2], ia[..., 1], ia[..., 0]].T
+    t = np.clip((iso - va) / (vb - va), 0.0, 1.0)[:, None]
+    ia = ia.astype(np.float64)
     origin = np.asarray(vol.origin, dtype=np.float64)
     spacing = np.asarray(vol.spacing, dtype=np.float64)
+    verts = origin + (ia[:, 0] + t * (ia[:, 1] - ia[:, 0])) * spacing
 
-    verts: list[np.ndarray] = []
-    vert_ids: dict[tuple[int, int, int, int], int] = {}
-    tris: list[tuple[int, int, int]] = []
-
-    for zc, yc, xc in active:
-        case = int(ci[zc, yc, xc])
-        emask = EDGE_TABLE[case]
-        local = {}
-        for e in range(12):
-            if not (emask >> e) & 1:
-                continue
-            ax, ox, oy, oz = _EDGE_KEYS[e]
-            key = (ax, xc + ox, yc + oy, zc + oz)
-            vid = vert_ids.get(key)
-            if vid is None:
-                ca, cb = _EDGE_CORNERS[e]
-                ax_a = _CORNER_OFFSETS[ca]
-                ax_b = _CORNER_OFFSETS[cb]
-                va = data[zc + ax_a[2], yc + ax_a[1], xc + ax_a[0]]
-                vb = data[zc + ax_b[2], yc + ax_b[1], xc + ax_b[0]]
-                t = (iso - va) / (vb - va)
-                t = min(max(t, 0.0), 1.0)
-                ia = np.array([xc + ax_a[0], yc + ax_a[1], zc + ax_a[2]], dtype=np.float64)
-                ib = np.array([xc + ax_b[0], yc + ax_b[1], zc + ax_b[2]], dtype=np.float64)
-                pos = origin + (ia + t * (ib - ia)) * spacing
-                vid = len(verts)
-                verts.append(pos)
-                vert_ids[key] = vid
-            local[e] = vid
-        tt = TRI_TABLE[case]
-        for k in range(0, len(tt), 3):
-            tris.append((local[tt[k]], local[tt[k + 1]], local[tt[k + 2]]))
-
-    if not tris:
-        raise ValueError("iso-surface is empty")
-    return TriMesh(np.asarray(verts), np.asarray(tris, dtype=np.int64)).clean()
+    local = np.full((len(active), 12), -1, dtype=np.int64)
+    local[cell, edge] = vid
+    tt = _TRI_PAD[cases]
+    tris = np.take_along_axis(local, np.maximum(tt, 0), axis=1)[tt >= 0].reshape(-1, 3)
+    return TriMesh(verts, tris).clean()
 
 
 # ---------------------------------------------------------------------------
 # inside test and branch merging
 
 
+# axis ray first, then fixed fallback directions for grazing hits
+_RAY_DIRS = np.array([[1.0, 0.0, 0.0], [0.12905, 0.98237, 0.13471],
+                      [-0.33296, 0.54713, 0.76804], [0.57735, -0.57735, 0.57735]])
+
+
+def _ray_parity(pts: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray, d: np.ndarray):
+    """Moller-Trumbore (inside, grazed) per point for rays from pts (P, 3) along d.
+
+    For a fixed ray, u = s.(d x e2)/det, v = s.(e1 x d)/det and the ray
+    parameter t = s.(e1 x e2)/det are affine in s = p - v0, so all points
+    take three matrix products, _PAIR_CHUNK point-triangle pairs at a time.
+    A ray grazes where a hit lies within 1e-9 of a triangle edge.
+    """
+    h = np.cross(d, e2)
+    det = np.einsum("ij,ij->i", e1, h)
+    ok = np.abs(det) > 1e-12
+    coef = np.stack([h, np.cross(e1, d), np.cross(e1, e2)])[:, ok] / det[ok, None]  # (3, T, 3)
+    offset = np.einsum("ktj,tj->kt", coef, v0[ok])
+    coef = np.ascontiguousarray(coef.transpose(0, 2, 1))  # (3, 3, T)
+    inside = np.zeros(len(pts), dtype=bool)
+    grazed = np.zeros(len(pts), dtype=bool)
+    step = max(1, _PAIR_CHUNK // max(int(ok.sum()), 1))
+    for lo in range(0, len(pts), step):
+        p = pts[lo : lo + step]
+        u, v, t = (p @ coef[k] - offset[k] for k in range(3))
+        hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
+        inside[lo : lo + step] = hit.sum(axis=1) % 2 == 1
+        grazed[lo : lo + step] = (hit & ((u < 1e-9) | (v < 1e-9) | (u + v > 1 - 1e-9))).any(axis=1)
+    return inside, grazed
+
+
 def points_inside_mesh(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
-    """Ray-parity containment test with deterministic perturbation on grazing hits."""
+    """Ray-parity containment test with deterministic perturbation on grazing hits.
+
+    Points whose ray grazes a triangle edge are retried along the next
+    fixed direction; a point that grazes on every direction keeps the last
+    direction's parity.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     tri = mesh.vertices[mesh.triangles]
     v0, e1, e2 = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    # axis ray first, then fixed fallback directions for grazing hits
-    dirs = [
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.12905, 0.98237, 0.13471]),
-        np.array([-0.33296, 0.54713, 0.76804]),
-        np.array([0.57735, -0.57735, 0.57735]),
-    ]
-
-    def parity(p, d):
-        h = np.cross(d, e2)
-        det = np.einsum("ij,ij->i", e1, h)
-        ok = np.abs(det) > 1e-12
-        safe = np.where(ok, det, 1.0)
-        s = p - v0
-        u = np.einsum("ij,ij->i", s, h) / safe
-        q = np.cross(s, e1)
-        v = (q @ d) / safe
-        t = np.einsum("ij,ij->i", e2, q) / safe
-        hit = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
-        grazed = bool(
-            (hit & ((u < 1e-9) | (v < 1e-9) | (u + v > 1 - 1e-9))).any()
-        )
-        return bool(hit.sum() % 2 == 1), grazed
-
     out = np.zeros(len(pts), dtype=bool)
-    for pi, p in enumerate(pts):
-        for d in dirs:
-            inside, grazed = parity(p, d / np.linalg.norm(d))
-            if not grazed:
-                break
-        out[pi] = inside  # last direction's parity if every ray grazed
+    pending = np.arange(len(pts))
+    for d in _RAY_DIRS:
+        inside, grazed = _ray_parity(pts[pending], v0, e1, e2, d / np.linalg.norm(d))
+        out[pending] = inside
+        pending = pending[grazed]
+        if not len(pending):
+            break
     return out
 
 
@@ -594,26 +594,20 @@ def merge_branches(main: TriMesh, branch: TriMesh) -> tuple[TriMesh, JunctionRep
 
     max_bridge = 0.0
     max_gap = 0.0
-    strip = []
     for loop in loops:
-        lpts = branch.vertices[loop]
-        dist, anchor = tree.query(lpts)
+        dist, mi = tree.query(branch.vertices[loop])
         max_bridge = max(max_bridge, float(dist.max()))
-        n = len(loop)
-        for i in range(n):
-            j = (i + 1) % n
-            vi = loop[i] + nv_main
-            vj = loop[j] + nv_main
-            mi = int(anchor[i])
-            mj = int(anchor[j])
-            max_gap = max(max_gap, float(np.linalg.norm(main.vertices[mi] - main.vertices[mj])))
-            if mi == mj:
-                strip.append((vi, vj, mi))
-            else:
-                strip.append((vi, vj, mj))
-                strip.append((vi, mj, mi))
-    if strip:
-        tris.append(np.asarray(strip, dtype=np.int64))
+        mj = np.roll(mi, -1)
+        gap = main.vertices[mi] - main.vertices[mj]
+        # row-wise dot products, as np.linalg.norm of one vector takes them;
+        # norm(..., axis=1) sums the squares in another order
+        max_gap = max(max_gap, float(np.sqrt(gap[:, None] @ gap[:, :, None]).max()))
+        # per loop edge (vi, vj): triangle (vi, vj, mj), then (vi, mj, mi) unless mi == mj
+        vi = np.asarray(loop, dtype=np.int64) + nv_main
+        pair = np.stack([vi, np.roll(vi, -1), mj, vi, mj, mi], axis=1).reshape(-1, 2, 3)
+        keep = np.ones((len(vi), 2), dtype=bool)
+        keep[:, 1] = mi != mj
+        tris.append(pair[keep])
 
     merged = TriMesh(verts, np.vstack(tris)).clean()
     report = JunctionReport(

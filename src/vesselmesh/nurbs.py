@@ -173,6 +173,9 @@ def _periodic_system(m: int, degree: int):
     """
     if m < degree + 1:
         raise ValueError(f"need at least {degree + 1} points for degree {degree}")
+    if degree % 2 == 0 and m % 2 == 0:
+        # interpolating at the knots, an even degree with an even m is singular
+        raise ValueError(f"even degree needs an odd point count: degree {degree}, {m} points")
     knots = (np.arange(m + 2 * degree + 1) - degree) / m
     full = basis_matrix(knots, degree, m + degree, np.arange(m) / m)
     full[:, :degree] += full[:, m:]

@@ -171,14 +171,13 @@ def analytic_surface(
     else:
         radii = np.full(nu, spec.branch_radius_mm)
     theta = 2.0 * np.pi * np.arange(nv) / nv
-    rings = np.empty((nu, nv, 3))
+    anchor = np.stack([fr.anchor for fr in frs])[:, None, :]
+    b = np.stack([fr.b for fr in frs])[:, None, :]
+    n = np.stack([fr.n for fr in frs])[:, None, :]
     # counter-clockwise in (b, n) so the loft winding points outward
-    for i, fr in enumerate(frs):
-        rings[i] = (
-            fr.anchor[None, :]
-            + radii[i] * (np.cos(theta)[:, None] * fr.b[None, :]
-                          + np.sin(theta)[:, None] * fr.n[None, :])
-        )
+    rings = anchor + radii[:, None, None] * (
+        np.cos(theta)[:, None] * b + np.sin(theta)[:, None] * n
+    )
     return loft_rings(rings, caps=caps)
 
 

@@ -102,6 +102,32 @@ def test_singular_system_raises():
         nurbs.interpolate_curve(pts, 3)
 
 
+def _circle(m, radius=5.0, z=0.0):
+    theta = 2 * np.pi * np.arange(m) / m
+    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), np.full(m, z)])
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_periodic_even_degree_with_even_count_fails_fast(degree):
+    # singular in exact arithmetic: on this symmetric input the degree-4
+    # solve once passed its residual check and returned a curve whose radius
+    # swung between 2.8 and 7.2 mm
+    with pytest.raises(ValueError, match="even degree needs an odd point count"):
+        nurbs.interpolate_curve(_circle(32), degree, closed=True)
+    with pytest.raises(ValueError, match="even degree needs an odd point count"):
+        nurbs.skin_surface([_circle(32, z=z) for z in range(0, 30, 6)], degree_v=degree)
+
+
+@pytest.mark.parametrize("degree, m", [(2, 33), (4, 33), (3, 32)])
+def test_periodic_fit_with_odd_count_or_odd_degree(degree, m):
+    pts = _circle(m)
+    curve = nurbs.interpolate_curve(pts, degree, closed=True)
+    for i in range(m):
+        assert np.linalg.norm(curve.evaluate(i / m) - pts[i]) <= 1e-9
+    rad = np.array([np.linalg.norm(curve.evaluate(u)[:2]) for u in np.arange(500) / 500])
+    assert np.abs(rad - 5.0).max() <= 1e-3
+
+
 def test_skin_cylinder_radial_error():
     stacks = _circle_contours(5.0, 32, np.linspace(0, 20, 8))
     surf = nurbs.skin_surface(stacks)

@@ -93,6 +93,41 @@ def test_canonical_artifact_bytes(tmp_path, case):
            for name in _CANONICAL_SHA256[case]}
     assert got == _CANONICAL_SHA256[case]
 
+
+# bytes the perfbench manifest does not cover: compare_baseline's marching-cubes
+# mesh and report on the canonical straight tube, and the merged OBJ of the
+# branched merge case in test_meshkit.py
+_COMPARE_SHA256 = {
+    "gt_surface.obj": "74f4e8c8324d6c380be82c29f8a933852f272e5a0d1c5c74279ac728775b029e",
+    "mc_mesh.obj": "954e405d6ead813c13188cd014e0e392fcc2d6f6e9cbefb7c453a790c70b75a3",
+    "compare.json": "df0914f59b607f4530721f6173c1a5ca57297b93cb31cca98d1a3b630e4ef871",
+}
+_MERGED_OBJ_SHA256 = "38f276675f74669c8160d6d709d32881e9bf6401774e2a81d64228a3d334039d"
+
+
+def test_compare_baseline_bytes(tmp_path):
+    pipeline.compare_baseline(
+        {**_CANONICAL_BASE, "phantom": _CANONICAL_PHANTOMS["straight"]}, tmp_path
+    )
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _COMPARE_SHA256}
+    assert got == _COMPARE_SHA256
+
+
+def test_merged_obj_bytes(tmp_path):
+    from vesselmesh import phantom
+
+    spec = phantom.PhantomSpec(
+        shape="branched", length_mm=30.0, base_radius_mm=5.0,
+        branch_radius_mm=2.5, branch_length_mm=14.0, branch_angle_deg=90.0,
+        dims=(56, 56, 56), spacing_mm=(1.0, 1.0, 1.0),
+    )
+    main = phantom.analytic_surface(spec, 48, 48, caps=True, branch="main")
+    branch = phantom.analytic_surface(spec, 24, 24, caps=False, branch="side")
+    merged, _ = meshkit.merge_branches(main, branch)
+    meshkit.write_obj(merged, tmp_path / "merged.obj")
+    assert hashlib.sha256((tmp_path / "merged.obj").read_bytes()).hexdigest() == _MERGED_OBJ_SHA256
+
 def test_csv_centerline_source(tmp_path):
     base = tmp_path / "base"
     pipeline.run_pipeline(_tiny_config(), base)
@@ -101,6 +136,14 @@ def test_csv_centerline_source(tmp_path):
     out = tmp_path / "csv_out"
     summary = pipeline.run_pipeline(cfg, out)
     assert summary["topology"]["watertight"]
+
+
+def test_even_degree_with_even_contour_count_fails_in_fit(tmp_path):
+    cfg = _tiny_config(surface={"tess_u": 32, "tess_v": 32, "caps": True, "degree_v": 4})
+    with pytest.raises(StageError) as err:
+        pipeline.run_pipeline(cfg, tmp_path)
+    assert err.value.stage == "fit"
+    assert "even degree needs an odd point count" in str(err.value)
 
 
 def test_stage_error_carries_stage(tmp_path):
