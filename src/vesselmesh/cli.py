@@ -32,12 +32,12 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "masks_dir", None):
-        cfg.setdefault("contours", {})["masks_dir"] = args.masks_dir
+        cfg["contours"]["masks_dir"] = args.masks_dir
     return cfg
 
 
 def _out_dir(args, cfg=None) -> Path:
-    out = args.out or (cfg or {}).get("out")
+    out = args.out or (cfg["out"] if cfg else None)
     if not out:
         raise ValueError("--out (or config 'out') is required")
     p = Path(out)
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "phantom":
             if args.spec:
-                cfg = {"phantom": json.loads(Path(args.spec).read_text())}
+                cfg = pipeline.resolve_config({"phantom": json.loads(Path(args.spec).read_text())})
             else:
                 cfg = _load_config(args)
             out = _out_dir(args, cfg)

@@ -105,54 +105,18 @@ def basis_functions(knots, degree: int, u):
     return span, vals
 
 
-def basis_derivatives(knots, degree: int, u: float, order: int):
-    """Basis values and derivatives up to the given order (Piegl A2.3 style)."""
-    knots = np.asarray(knots, dtype=np.float64)
-    n_ctrl = len(knots) - degree - 1
-    span = find_span(knots, degree, float(u), n_ctrl)
-    ndu = np.zeros((degree + 1, degree + 1))
-    ndu[0, 0] = 1.0
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    for j in range(1, degree + 1):
-        left[j] = u - knots[span + 1 - j]
-        right[j] = knots[span + j] - u
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            tmp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        ndu[j, j] = saved
+def basis_first_derivatives(knots, degree: int, u):
+    """Span and first derivatives of the nonzero basis functions at u.
 
-    ders = np.zeros((order + 1, degree + 1))
-    ders[0] = ndu[:, degree]
-    a = np.zeros((2, degree + 1))
-    for r in range(degree + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, order + 1):
-            dval = 0.0
-            rk = r - k
-            pk = degree - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                dval = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else degree - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                dval += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                dval += a[s2, k] * ndu[r, pk]
-            ders[k, r] = dval
-            s1, s2 = s2, s1
-    fac = degree
-    for k in range(1, order + 1):
-        ders[k] *= fac
-        fac *= degree - k
-    return span, ders
+    Piegl & Tiller eq. 2.9 over the degree - 1 values, which on a clamped
+    knot vector share u's span; the operations are those of their
+    algorithm A2.3 at order 1, in its order.
+    """
+    knots = np.asarray(knots, dtype=np.float64)
+    span, lower = basis_functions(knots, degree - 1, u)
+    r = np.arange(degree)
+    term = 1.0 / ((knots[span + 1 + r] - u) + (u - knots[span + 1 - degree + r])) * lower
+    return span, degree * (np.r_[0.0, term] - np.r_[term, 0.0])
 
 
 def basis_matrix(knots, degree: int, n_ctrl: int, us) -> np.ndarray:
@@ -288,8 +252,8 @@ def _bessel_system(degree: int, t: np.ndarray, q: np.ndarray):
     rows = np.zeros((n + 2, n + 2))
     rows[[0, *range(2, n), n + 1]] = basis_matrix(knots, degree, n + 2, t)
     for row, u in ((1, t[0]), (n, t[-1])):
-        span, ders = basis_derivatives(knots, degree, u, 1)
-        rows[row, span - degree : span + 1] = ders[1]
+        span, ders = basis_first_derivatives(knots, degree, u)
+        rows[row, span - degree : span + 1] = ders
     d0 = _bessel_derivative(t[0], t[1], t[2], q[0], q[1], q[2], t[0])
     d1 = _bessel_derivative(t[-3], t[-2], t[-1], q[-3], q[-2], q[-1], t[-1])
     rhs = np.concatenate([q[:1], d0[None], q[1:-1], d1[None], q[-1:]])

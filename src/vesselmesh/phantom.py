@@ -72,12 +72,18 @@ class PhantomSpec:
 
     @staticmethod
     def from_json(text: str) -> "PhantomSpec":
-        doc = json.loads(text)
-        doc["dims"] = tuple(doc["dims"])
-        doc["spacing_mm"] = tuple(doc["spacing_mm"])
-        if "axis_offset_mm" in doc:
-            doc["axis_offset_mm"] = tuple(doc["axis_offset_mm"])
-        return PhantomSpec(**doc)
+        return PhantomSpec.from_dict(json.loads(text))
+
+    @staticmethod
+    def from_dict(doc) -> "PhantomSpec":
+        """Spec from a parsed JSON object; an unknown key raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("phantom spec must be a JSON object")
+        for key in doc:
+            if key not in PhantomSpec.__dataclass_fields__:
+                raise ValueError(f"unknown phantom key {key!r}")
+        tuples = {key: tuple(doc[key]) for key in ("dims", "spacing_mm", "axis_offset_mm") if key in doc}
+        return PhantomSpec(**{**doc, **tuples})
 
 
 def load_spec(path) -> PhantomSpec:
@@ -127,15 +133,22 @@ def _branch_curve(spec: PhantomSpec, s: np.ndarray) -> np.ndarray:
     return start[None, :] + s[:, None] * d[None, :]
 
 
+# bump amplitude of the shapes that have one, used when the spec gives 0
+_DEFAULT_BUMP = {"aneurysm": 0.4, "coarctation": -0.3}
+
+
+def effective_bump(spec: PhantomSpec) -> float:
+    """Relative radius bump the volume has: 0 for shapes without one."""
+    if spec.shape not in _DEFAULT_BUMP:
+        return 0.0
+    return spec.bump_amplitude or _DEFAULT_BUMP[spec.shape]
+
+
 def radius_profile(spec: PhantomSpec, s: np.ndarray) -> np.ndarray:
     """Lumen radius r(s) along the main centerline."""
     r = np.full_like(np.asarray(s, dtype=np.float64), spec.base_radius_mm)
-    amp = spec.bump_amplitude
-    if spec.shape == "aneurysm" and amp == 0.0:
-        amp = 0.4
-    if spec.shape == "coarctation" and amp == 0.0:
-        amp = -0.3
-    if amp != 0.0 and spec.shape in ("aneurysm", "coarctation"):
+    amp = effective_bump(spec)
+    if amp != 0.0:
         s0 = spec.bump_center_fraction * spec.length_mm
         g = np.exp(-0.5 * ((np.asarray(s) - s0) / spec.bump_width_mm) ** 2)
         r = spec.base_radius_mm * (1.0 + amp * g)

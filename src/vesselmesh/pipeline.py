@@ -44,54 +44,96 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
+# Every config key and its default, for every command: section -> key ->
+# default.  `resolve_config` casts a value to its default's type; keys whose
+# default is None pass through, and `phantom` is parsed into a PhantomSpec.
+_DEFAULTS = {
+    "seed": cdm.TrainConfig.seed,
+    "out": None,
+    "phantom": None,
+    "volume": {"path": None},
+    "centerline": {"source": "analytic", "k": 16, "smooth": True, "path": None, "checkpoint": None},
+    "slice": {"half_extent_mm": None, "n_pix": 64},
+    "contours": {"points": 32, "threshold": 0.5, "masks_dir": None},
+    "surface": {"degree_u": 3, "degree_v": 3, "tess_u": 64, "tess_v": 64, "caps": True},
+    "ground_truth": {"surface_obj": None},
+    "baseline": {"iso": 0.5},
+    # cdm train, then cdm sample
+    "k": 16,
+    "timesteps": 200,
+    "learning_rate": cdm.TrainConfig.learning_rate,
+    "batch_size": cdm.TrainConfig.batch_size,
+    "iterations": cdm.TrainConfig.iterations,
+    "family": {"shape": "straight", "count": 128, "seed": 0, "radius_range_mm": (5.0, 7.0),
+               "offset_range_mm": 3.5, "dims": (48, 48, 48), "spacing_mm": (1.2, 1.2, 1.2),
+               "length_mm": 30.0, "wall_softness_mm": 3.0},
+    "checkpoint": None,
+}
+
+
+def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
+    """The config with every default filled in and every value cast.
+
+    Raises ValueError naming the dotted path of the first non-object
+    section, unknown key or value that cannot be cast.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
+    for key in config:
+        if key not in defaults:
+            raise ValueError(f"unknown config key {where}{key}")
+    resolved = {}
+    for key, default in defaults.items():
+        value = config[key] if key in config else default
+        if isinstance(default, dict):
+            resolved[key] = resolve_config(value, default, f"{where}{key}.")
+            continue
+        cast = type(default) if default is not None else None
+        if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
+            cast = phantom.PhantomSpec.from_dict
+        try:
+            resolved[key] = cast(value) if cast else value
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {where}{key}: {exc}") from exc
+    return resolved
+
+
 def load_config(path) -> dict:
     try:
         cfg = _read_json(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    return cfg
-
-
-def _cfg(config: dict, key: str, default=None):
-    return config.get(key, default) if config else default
+    return resolve_config(cfg)
 
 
 # ---------------------------------------------------------------------------
 # stages
 
-# defaults shared by more than one stage
-_TESSELLATION = 64  # surface.tess_u and surface.tess_v
-_CAPS = True  # surface.caps
-_CENTERLINE_K = 16  # centerline.k
-
 
 def stage_volume(config: dict, out: Path) -> Path:
     """Materialize the input volume (rasterize a phantom or load raw files)."""
+    config = resolve_config(config)
     out.mkdir(parents=True, exist_ok=True)
     vol_path = out / "volume.f32raw"
     with _stage("volume"):
-        if "phantom" in config:
-            spec = phantom.PhantomSpec.from_json(json.dumps(config["phantom"]))
+        spec = config["phantom"]
+        if spec is not None:
             (out / "phantom_spec.json").write_text(spec.to_json() + "\n")
             vol = phantom.rasterize(spec)
             store_raw(vol, vol_path)
-            surf_cfg = _cfg(config, "surface", {})
-            gt = phantom.analytic_surface(
-                spec,
-                nu=int(surf_cfg.get("tess_u", _TESSELLATION)),
-                nv=int(surf_cfg.get("tess_v", _TESSELLATION)),
-                caps=bool(surf_cfg.get("caps", _CAPS)),
-            )
+            surf = config["surface"]
+            gt = phantom.analytic_surface(spec, nu=surf["tess_u"], nv=surf["tess_v"], caps=surf["caps"])
             write_obj(gt, out / "gt_surface.obj")
-            k = int(_cfg(config, "centerline", {}).get("k", _CENTERLINE_K))
+            k = config["centerline"]["k"]
             cl.write_csv(phantom.analytic_centerline(spec, k), out / "gt_centerline.csv")
-        elif "volume" in config:
+        elif config["volume"]["path"] is not None:
             src = Path(config["volume"]["path"])
             if not src.exists():
                 raise FileNotFoundError(f"volume payload {src} not found")
             vol = load_raw(src)
+            lo, hi = float(vol.data.min()), float(vol.data.max())
+            if not (0.0 <= lo and hi <= 1.0):  # false for NaN too
+                raise ValueError(f"raw volume must hold finite values in [0, 1], got min {lo} max {hi}")
             store_raw(vol, vol_path)
         else:
             raise KeyError("config needs a 'phantom' or 'volume' section")
@@ -100,9 +142,9 @@ def stage_volume(config: dict, out: Path) -> Path:
 
 def stage_centerline(config: dict, out: Path) -> Path:
     """Produce the (smoothed, k-station) centerline CSV used for slicing."""
-    ccfg = _cfg(config, "centerline", {})
-    source = ccfg.get("source", "analytic")
-    k = int(ccfg.get("k", _CENTERLINE_K))
+    config = resolve_config(config)
+    ccfg = config["centerline"]
+    source, k = ccfg["source"], ccfg["k"]
     path = out / "centerline.csv"
     with _stage("centerline"):
         if source == "analytic":
@@ -113,31 +155,29 @@ def stage_centerline(config: dict, out: Path) -> Path:
         elif source == "cdm":
             vol = load_raw(out / "volume.f32raw")
             den, sched = cdm.load_checkpoint(ccfg["checkpoint"])
-            rng = np.random.default_rng(int(_cfg(config, "seed", 0)))
+            rng = np.random.default_rng(config["seed"])
             encoder = cdm.VolumeFeatureEncoder(vol)
             raw = cdm.sample(vol, encoder, den, sched, rng)
         else:
             raise ValueError(f"unknown centerline source {source!r}")
-        smoothed = cl.smooth_resample(raw, k) if ccfg.get("smooth", True) else raw
+        smoothed = cl.smooth_resample(raw, k) if ccfg["smooth"] else raw
         cl.write_csv(smoothed, path)
     return path
 
 
 def _slice_geometry(config: dict, out: Path):
+    config = resolve_config(config)
     vol = load_raw(out / "volume.f32raw")
     stations = cl.read_csv(out / "centerline.csv")
-    scfg = _cfg(config, "slice", {})
-    half_extent = scfg.get("half_extent_mm")
+    half_extent = config["slice"]["half_extent_mm"]
     if half_extent is None:
-        if "phantom" in config:
+        if config["phantom"] is not None:
             spec = phantom.load_spec(out / "phantom_spec.json")
-            bump = max(spec.bump_amplitude, 0.0)
-            if spec.shape == "aneurysm" and bump == 0.0:
-                bump = 0.4
+            bump = max(phantom.effective_bump(spec), 0.0)
             half_extent = 4.0 * spec.base_radius_mm * (1.0 + bump)
         else:
             raise ValueError("slice.half_extent_mm is required for non-phantom volumes")
-    n_pix = int(scfg.get("n_pix", 64))
+    n_pix = config["slice"]["n_pix"]
     planes = slicer.planes_for_centerline(cl.frames(stations), float(half_extent), n_pix)
     return vol, planes
 
@@ -156,10 +196,9 @@ def stage_slices(config: dict, out: Path) -> Path:
 
 def stage_segment(config: dict, out: Path) -> Path:
     """Slice, segment, trace, resample, and lift every station to 3D."""
-    ccfg = _cfg(config, "contours", {})
-    m = int(ccfg.get("points", 32))
-    threshold = float(ccfg.get("threshold", 0.5))
-    masks_dir = ccfg.get("masks_dir")
+    config = resolve_config(config)
+    ccfg = config["contours"]
+    m, threshold, masks_dir = ccfg["points"], ccfg["threshold"], ccfg["masks_dir"]
     path = out / "contours_raw.json"
     with _stage("segment"):
         vol, planes = _slice_geometry(config, out)
@@ -210,6 +249,7 @@ def read_contour_set(path) -> list[lumenseg.Contour]:
 
 
 def stage_align(config: dict, out: Path) -> Path:
+    resolve_config(config)
     path = out / "contours.json"
     with _stage("contours"):
         doc = _read_json(out / "contours_raw.json")
@@ -221,29 +261,20 @@ def stage_align(config: dict, out: Path) -> Path:
 
 
 def stage_fit(config: dict, out: Path) -> Path:
+    surf = resolve_config(config)["surface"]
     path = out / "surface.nurbs.json"
     with _stage("fit"):
-        scfg = _cfg(config, "surface", {})
         aligned = read_contour_set(out / "contours.json")
-        surface = nurbs.skin_surface(
-            aligned,
-            degree_u=int(scfg.get("degree_u", 3)),
-            degree_v=int(scfg.get("degree_v", 3)),
-        )
+        surface = nurbs.skin_surface(aligned, degree_u=surf["degree_u"], degree_v=surf["degree_v"])
         nurbs.write_surface_json(surface, path)
     return path
 
 
 def stage_mesh(config: dict, out: Path) -> Path:
+    surf = resolve_config(config)["surface"]
     with _stage("mesh"):
-        scfg = _cfg(config, "surface", {})
         surface = nurbs.read_surface_json(out / "surface.nurbs.json")
-        mesh = nurbs.tessellate(
-            surface,
-            nu=int(scfg.get("tess_u", _TESSELLATION)),
-            nv=int(scfg.get("tess_v", _TESSELLATION)),
-            caps=bool(scfg.get("caps", _CAPS)),
-        ).clean()
+        mesh = nurbs.tessellate(surface, nu=surf["tess_u"], nv=surf["tess_v"], caps=surf["caps"]).clean()
         write_obj(mesh, out / "mesh.obj")
         write_stl(mesh, out / "mesh.stl")
         report = validate(mesh)
@@ -252,10 +283,10 @@ def stage_mesh(config: dict, out: Path) -> Path:
 
 
 def stage_metrics(config: dict, out: Path) -> Path | None:
+    config = resolve_config(config)
     gt_path = None
-    gcfg = _cfg(config, "ground_truth", {})
-    if gcfg.get("surface_obj"):
-        gt_path = Path(gcfg["surface_obj"])
+    if config["ground_truth"]["surface_obj"]:
+        gt_path = Path(config["ground_truth"]["surface_obj"])
     elif (out / "gt_surface.obj").exists():
         gt_path = out / "gt_surface.obj"
     if gt_path is None:
@@ -263,7 +294,7 @@ def stage_metrics(config: dict, out: Path) -> Path | None:
     with _stage("metrics"):
         mesh = read_obj(out / "mesh.obj")
         gt = read_obj(gt_path)
-        seed = int(_cfg(config, "seed", 0))
+        seed = config["seed"]
         ref_label = gt_path.name if gt_path.parent == out else str(gt_path)
         report = metrics.mesh_metric_report(
             mesh, gt, seed=seed, inputs={"mesh": "mesh.obj", "reference": ref_label}
@@ -272,11 +303,9 @@ def stage_metrics(config: dict, out: Path) -> Path | None:
     return out / "metrics.json"
 
 
-PIPELINE_STAGES = ("volume", "centerline", "segment", "contours", "fit", "mesh", "metrics")
-
-
 def run_pipeline(config: dict, out) -> dict:
     """Run all stages in order; returns a summary of artifact paths."""
+    config = resolve_config(config)
     out = Path(out)
     stage_volume(config, out)
     stage_centerline(config, out)
@@ -311,13 +340,12 @@ def run_pipeline(config: dict, out) -> dict:
 
 def param_study(config: dict, out, k_list=(8, 12, 16, 20, 25)) -> Path:
     """Run the pipeline per centerline point count; CSV of CD/HD/EMD per k."""
+    config = resolve_config(config)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for k in k_list:
-        sub = dict(config)
-        sub["centerline"] = dict(_cfg(config, "centerline", {}))
-        sub["centerline"]["k"] = int(k)
+        sub = {**config, "centerline": {**config["centerline"], "k": int(k)}}
         sub_out = out / f"k_{int(k):02d}"
         summary = run_pipeline(sub, sub_out)
         m = summary.get("metrics")
@@ -335,20 +363,19 @@ def param_study(config: dict, out, k_list=(8, 12, 16, 20, 25)) -> Path:
 
 def compare_baseline(config: dict, out) -> Path:
     """NURBS pipeline vs marching cubes on the same volume, both validated."""
+    config = resolve_config(config)
     out = Path(out)
     summary = run_pipeline(config, out)
     if "metrics" not in summary:
         raise StageError("metrics", "baseline comparison requires a ground-truth surface")
     with _stage("compare"):
         vol = load_raw(out / "volume.f32raw")
-        iso = float(_cfg(config, "baseline", {}).get("iso", 0.5))
-        mc = marching_cubes(vol, iso).clean()
+        mc = marching_cubes(vol, config["baseline"]["iso"]).clean()
         write_obj(mc, out / "mc_mesh.obj")
         mc_report = validate(mc)
         gt = read_obj(out / "gt_surface.obj")
-        seed = int(_cfg(config, "seed", 0))
         mc_metrics = metrics.mesh_metric_report(
-            mc, gt, seed=seed, inputs={"mesh": "mc_mesh.obj", "reference": "gt_surface.obj"}
+            mc, gt, seed=config["seed"], inputs={"mesh": "mc_mesh.obj", "reference": "gt_surface.obj"}
         )
         doc = {
             "nurbs": {"metrics": summary["metrics"], "topology": summary["topology"]},
@@ -367,31 +394,19 @@ def phantom_family(family_cfg: dict):
 
     Varies lumen radius and lateral axis offset over seeded uniform draws.
     """
-    shape = family_cfg.get("shape", "straight")
-    count = int(family_cfg.get("count", 128))
-    seed = int(family_cfg.get("seed", 0))
-    radius_lo, radius_hi = family_cfg.get("radius_range_mm", (5.0, 7.0))
-    offset = float(family_cfg.get("offset_range_mm", 3.5))
-    dims = tuple(family_cfg.get("dims", (48, 48, 48)))
-    spacing = tuple(family_cfg.get("spacing_mm", (1.2, 1.2, 1.2)))
-    length = float(family_cfg.get("length_mm", 30.0))
-    softness = family_cfg.get("wall_softness_mm", 3.0)
-    rng = np.random.default_rng(seed)
+    fam = resolve_config(family_cfg, _DEFAULTS["family"], "family.")
+    radius_lo, radius_hi = fam["radius_range_mm"]
+    offset = fam["offset_range_mm"]
+    rng = np.random.default_rng(fam["seed"])
     specs = []
-    for _ in range(count):
+    for _ in range(fam["count"]):
         r = float(rng.uniform(radius_lo, radius_hi))
         dx, dy = rng.uniform(-offset, offset, size=2)
-        specs.append(
-            phantom.PhantomSpec(
-                shape=shape,
-                length_mm=length,
-                base_radius_mm=r,
-                dims=dims,
-                spacing_mm=spacing,
-                wall_softness_mm=softness,
-                axis_offset_mm=(float(dx), float(dy)),
-            )
-        )
+        specs.append(phantom.PhantomSpec(
+            shape=fam["shape"], length_mm=fam["length_mm"], base_radius_mm=r, dims=fam["dims"],
+            spacing_mm=fam["spacing_mm"], wall_softness_mm=fam["wall_softness_mm"],
+            axis_offset_mm=(float(dx), float(dy)),
+        ))
     return specs
 
 
@@ -406,19 +421,14 @@ def build_training_pairs(specs, k: int = 16):
 
 def train_cdm(config: dict, out) -> Path:
     """Train the diffusion model per config; writes checkpoint + loss CSV."""
+    config = resolve_config(config)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("cdm-train"):
-        k = int(_cfg(config, "k", 16))
-        sched = cdm.NoiseSchedule.desk_default(int(_cfg(config, "timesteps", 200)))
-        specs = phantom_family(_cfg(config, "family", {}))
-        pairs = build_training_pairs(specs, k)
-        cfg = cdm.TrainConfig(
-            learning_rate=float(_cfg(config, "learning_rate", 1e-3)),
-            batch_size=int(_cfg(config, "batch_size", 16)),
-            iterations=int(_cfg(config, "iterations", 5000)),
-            seed=int(_cfg(config, "seed", 0)),
-        )
+        sched = cdm.NoiseSchedule.desk_default(config["timesteps"])
+        pairs = build_training_pairs(phantom_family(config["family"]), config["k"])
+        keys = ("learning_rate", "batch_size", "iterations", "seed")
+        cfg = cdm.TrainConfig(**{key: config[key] for key in keys})
         den, curve = cdm.train(pairs, cfg, sched)
         cdm.save_checkpoint(den, sched, out / "model", seed=cfg.seed)
         lines = ["iteration,loss,smoothed"]
@@ -430,16 +440,16 @@ def train_cdm(config: dict, out) -> Path:
 
 def sample_cdm(config: dict, out) -> Path:
     """Sample one centerline from a trained checkpoint, conditioned on a volume."""
+    config = resolve_config(config)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("cdm-sample"):
-        if "phantom" in config:
-            spec = phantom.PhantomSpec.from_json(json.dumps(config["phantom"]))
-            vol = phantom.rasterize(spec)
+        if config["phantom"] is not None:
+            vol = phantom.rasterize(config["phantom"])
         else:
             vol = load_raw(Path(config["volume"]["path"]))
         den, sched = cdm.load_checkpoint(config["checkpoint"])
-        rng = np.random.default_rng(int(_cfg(config, "seed", 0)))
+        rng = np.random.default_rng(config["seed"])
         pts = cdm.sample(vol, cdm.VolumeFeatureEncoder(vol), den, sched, rng)
         cl.write_csv(pts, out / "sampled_centerline.csv")
     return out / "sampled_centerline.csv"

@@ -2,9 +2,10 @@
 
 The references below are the earlier scalar code, kept verbatim: the
 binary-search ``find_span``, the scalar Cox-de Boor ``basis_functions``, the
-looped ``basis_matrix``, the per-parameter ``smooth_resample`` and the closed
+looped ``basis_matrix``, the per-parameter ``smooth_resample``, the closed
 branch of ``interpolate_curve`` that built the periodic system one row at a
-time (``skin_surface`` called it once per section).  The array code in
+time (``skin_surface`` called it once per section) and Piegl & Tiller's
+algorithm A2.3 for basis derivatives of any order.  The array code in
 ``nurbs`` and ``centerline`` must give the same bits on every input here.
 """
 
@@ -58,6 +59,56 @@ def _ref_basis_functions(knots, degree: int, u: float):
             saved = left[j - r] * tmp
         vals[j] = saved
     return span, vals
+
+
+def _ref_basis_derivatives(knots, degree: int, u: float, order: int):
+    """Basis values and derivatives up to the given order (Piegl A2.3 style)."""
+    knots = np.asarray(knots, dtype=np.float64)
+    n_ctrl = len(knots) - degree - 1
+    span = nurbs.find_span(knots, degree, float(u), n_ctrl)
+    ndu = np.zeros((degree + 1, degree + 1))
+    ndu[0, 0] = 1.0
+    left = np.zeros(degree + 1)
+    right = np.zeros(degree + 1)
+    for j in range(1, degree + 1):
+        left[j] = u - knots[span + 1 - j]
+        right[j] = knots[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            tmp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        ndu[j, j] = saved
+
+    ders = np.zeros((order + 1, degree + 1))
+    ders[0] = ndu[:, degree]
+    a = np.zeros((2, degree + 1))
+    for r in range(degree + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, order + 1):
+            dval = 0.0
+            rk = r - k
+            pk = degree - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                dval = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else degree - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                dval += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                dval += a[s2, k] * ndu[r, pk]
+            ders[k, r] = dval
+            s1, s2 = s2, s1
+    fac = degree
+    for k in range(1, order + 1):
+        ders[k] *= fac
+        fac *= degree - k
+    return span, ders
 
 
 def _ref_basis_matrix(knots, degree: int, n_ctrl: int, us) -> np.ndarray:
@@ -240,6 +291,28 @@ def test_one_parameter_outside_domain_raises(bad):
     # the domain tolerance itself is accepted by both
     edges = np.array([-_DOMAIN_TOL, 1.0 + _DOMAIN_TOL])
     assert np.array_equal(nurbs.basis_matrix(knots, 3, 6, edges), _ref_basis_matrix(knots, 3, 6, edges))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_first_derivatives_match_a23_bits(degree):
+    """Same bits as A2.3 at order 1, signs of zeros included, on clamped knot
+    vectors (interior knots simple or repeated up to the degree) at every
+    knot in the domain, both ends and random parameters."""
+    rng = np.random.default_rng(40 + degree)
+    cases = 0
+    for trial in range(120):
+        make = _clamped if trial % 2 else _repeated
+        knots = make(rng, degree, int(rng.integers(0, 8)))
+        n_ctrl = len(knots) - degree - 1
+        us = np.concatenate([knots[degree : n_ctrl + 1], rng.uniform(0.0, 1.0, 12),
+                             [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]])
+        for u in us:
+            span, ders = nurbs.basis_first_derivatives(knots, degree, u)
+            ref_span, ref = _ref_basis_derivatives(knots, degree, u, 1)
+            assert span == ref_span
+            assert ders.tobytes() == ref[1].tobytes(), (knots, u)
+            cases += 1
+    assert cases > 2000
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,8 @@ def _run(*args):
     )
 
 
-@pytest.fixture(scope="module")
-def tiny_config(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    cfg = {
+def _tiny_dict():
+    return {
         "seed": 0,
         "phantom": {"shape": "straight", "length_mm": 26.0, "base_radius_mm": 5.0,
                     "dims": [48, 48, 48], "spacing_mm": [1.1, 1.1, 1.1]},
@@ -27,6 +25,12 @@ def tiny_config(tmp_path_factory):
         "contours": {"points": 32},
         "surface": {"tess_u": 32, "tess_v": 32, "caps": True},
     }
+
+
+@pytest.fixture(scope="module")
+def tiny_config(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    cfg = _tiny_dict()
     path = root / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg, root
@@ -192,3 +196,45 @@ def test_non_finite_centerline_exit_code(tmp_path):
     doc = json.loads(res.stdout.strip().splitlines()[-1])
     assert doc["stage"] == "centerline"
     assert "not finite" in doc["error"]
+
+
+def _with(section, key, value):
+    cfg = _tiny_dict()
+    if section is None:
+        cfg[key] = value
+    else:
+        cfg[section][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    (["pipeline"], _with("surface", "tess_U", 8), "surface.tess_U"),
+    (["pipeline"], _with(None, "contour", {"points": 32}), "contour"),
+    (["pipeline"], _with("phantom", "base_radius", 5.0), "base_radius"),
+    (["pipeline"], _with("surface", "tess_u", "abc"), "surface.tess_u"),
+    (["phantom"], _with("phantom", "base_radius", 5.0), "base_radius"),
+    (["mesh"], _with("surface", "tess_U", 8), "surface.tess_U"),
+    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_mm": 5.0}},
+     "family.radius_mm"),
+])
+def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = _run(*command, "--config", str(path), "--out", str(out))
+    assert res.returncode == 2, res.stdout + res.stderr
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc["stage"] == "config"
+    assert named in doc["error"]
+    assert not out.exists()
+
+
+def test_bad_phantom_spec_flag_exits_2(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"shape": "straight", "base_radius_mm": -1.0}))
+    res = _run("phantom", "--spec", str(spec_path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc["stage"] == "config"
+    assert "base_radius_mm must be positive" in doc["error"]
+    assert not (tmp_path / "out").exists()

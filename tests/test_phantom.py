@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,32 @@ def test_branch_centerline_geometry():
     d = side[-1] - side[0]
     assert abs(np.dot(d, [0, 0, 1.0])) <= 1e-9  # 90 degrees from the main axis
     assert np.linalg.norm(d) == pytest.approx(14.0, abs=1e-9)
+
+
+def test_effective_bump_per_shape():
+    s = np.linspace(0.0, 40.0, 101)
+    assert phantom.effective_bump(phantom.PhantomSpec(shape="aneurysm")) == 0.4
+    assert phantom.effective_bump(phantom.PhantomSpec(shape="coarctation")) == -0.3
+    assert phantom.effective_bump(phantom.PhantomSpec(shape="aneurysm", bump_amplitude=0.25)) == 0.25
+    assert phantom.effective_bump(phantom.PhantomSpec(shape="coarctation", bump_amplitude=0.2)) == 0.2
+    for shape in ("straight", "arc", "helix", "branched"):
+        spec = phantom.PhantomSpec(shape=shape, bump_amplitude=0.3)
+        assert phantom.effective_bump(spec) == 0.0
+        assert np.all(phantom.radius_profile(spec, s) == spec.base_radius_mm)
+
+
+def test_default_bumps_shape_the_radius_profile():
+    s = np.linspace(0.0, 40.0, 4001)  # s = 20 is the bump centre
+    for shape, amp in (("aneurysm", 0.4), ("coarctation", -0.3)):
+        spec = phantom.PhantomSpec(shape=shape, length_mm=40.0, base_radius_mm=6.0)
+        g = np.exp(-0.5 * ((s - 20.0) / spec.bump_width_mm) ** 2)
+        assert np.array_equal(phantom.radius_profile(spec, s), 6.0 * (1.0 + amp * g))
+
+
+@pytest.mark.parametrize("parse", [phantom.PhantomSpec.from_dict,
+                                   lambda doc: phantom.PhantomSpec.from_json(json.dumps(doc))])
+def test_spec_parsing_rejects_unknown_keys(parse):
+    with pytest.raises(ValueError, match="unknown phantom key 'base_radius'"):
+        parse({"shape": "straight", "base_radius": 5.0})
+    spec = parse({"shape": "arc", "dims": [48, 48, 48], "axis_offset_mm": [1.0, 0.0]})
+    assert spec.dims == (48, 48, 48) and spec.axis_offset_mm == (1.0, 0.0)

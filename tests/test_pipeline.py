@@ -1,11 +1,14 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vesselmesh import meshkit, pipeline
 from vesselmesh.pipeline import StageError
+from vesselmesh.volume import Volume, store_raw
 
 
 def _tiny_config(**overrides):
@@ -265,3 +268,92 @@ def test_non_finite_centerline_is_a_stage_error(tmp_path, bad):
         pipeline.stage_centerline(cfg, tmp_path / "o")
     assert err.value.stage == "centerline"
     assert not (tmp_path / "o" / "centerline.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_config_table() -> dict:
+    """{dotted key: default} from the README's "Config keys" table."""
+    text = _README.read_text().split("### Config keys", 1)[1]
+    rows = re.findall(r"^\| `([\w.]+)` \| `([^`]+)` \|", text, flags=re.MULTILINE)
+    return {key: json.loads(default) for key, default in rows}
+
+
+def _dotted(config: dict, where: str = "") -> dict:
+    flat = {}
+    for key, value in config.items():
+        if isinstance(value, dict):
+            flat.update(_dotted(value, f"{where}{key}."))
+        else:
+            flat[where + key] = list(value) if isinstance(value, tuple) else value
+    return flat
+
+
+def test_readme_table_lists_every_config_key():
+    assert list(_readme_config_table()) == list(_dotted(pipeline._DEFAULTS))
+
+
+def test_resolve_empty_config_gives_documented_defaults():
+    resolved = pipeline.resolve_config({})
+    assert _dotted(resolved) == _readme_config_table()
+    assert pipeline.resolve_config(resolved) == resolved
+
+
+def test_readme_example_config_resolves():
+    readme = _README.read_text()
+    example = readme.split("Example pipeline config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    resolved = pipeline.resolve_config(json.loads(example))
+    assert resolved["phantom"].shape == "arc"
+    assert resolved["surface"]["tess_u"] == 64
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"surface": {"tess_U": 8}}, "surface.tess_U"),
+    ({"contour": {"points": 32}}, "contour"),
+    ({"surface": {"tess_u": "abc"}}, "surface.tess_u"),
+    ({"surface": [64, 64]}, "surface"),
+    ({"phantom": {"shape": "straight", "base_radius": 5.0}}, "base_radius"),
+])
+def test_bad_config_fails_before_any_file(tmp_path, override, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        pipeline.run_pipeline(_tiny_config(**override), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_family_key_fails_before_training(tmp_path):
+    with pytest.raises(ValueError, match="family.radius_mm"):
+        pipeline.train_cdm({"family": {"radius_mm": 5.0}}, tmp_path / "train")
+    with pytest.raises(ValueError, match="family.radius_mm"):
+        pipeline.phantom_family({"radius_mm": 5.0})
+    assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_raw_volume_outside_unit_range_fails(tmp_path, bad):
+    data = np.zeros((8, 8, 8), dtype=np.float32)
+    data[4, 4, 4] = bad
+    store_raw(Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), tmp_path / "in.f32raw")
+    cfg = {"volume": {"path": str(tmp_path / "in.f32raw")}}
+    with pytest.raises(StageError, match=r"\[0, 1\], got min .* max ") as err:
+        pipeline.stage_volume(cfg, tmp_path / "out")
+    assert err.value.stage == "volume"
+    assert f"got min {float(data.min())} max {float(data.max())}" in str(err.value)
+    assert not (tmp_path / "out" / "volume.f32raw").exists()
+
+
+@pytest.mark.parametrize("shape, amplitude, extent", [
+    ("straight", 0.3, 4.0 * 5.0),  # no bump in the volume, none in the extent
+    ("aneurysm", 0.0, 4.0 * 5.0 * 1.4),  # the aneurysm's default bump
+    ("coarctation", 0.0, 4.0 * 5.0),
+])
+def test_slice_extent_follows_the_volume_bump(tmp_path, shape, amplitude, extent):
+    cfg = _tiny_config()
+    cfg["phantom"] = {**cfg["phantom"], "shape": shape, "bump_amplitude": amplitude}
+    pipeline.stage_volume(cfg, tmp_path)
+    pipeline.stage_centerline(cfg, tmp_path)
+    _, planes = pipeline._slice_geometry(cfg, tmp_path)
+    assert {plane.half_extent for plane in planes} == {extent}
