@@ -11,18 +11,22 @@ denormalized world positions, both in training and in sampling.  The
 reverse update is the standard ancestral step with sigma_t = sqrt(beta_t).
 
 Everything is plain float64 numpy with analytic gradients, trainable in
-seconds and bit-deterministic for a fixed seed.
+seconds and bit-deterministic for a fixed seed.  The denoiser's parameters
+are one float64 buffer with named views; gradients, Adam moments and the
+checkpoint payload (that buffer as f32le, in w1, b1, w2, b2, w3, b3 order)
+share its layout.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .centerline import decode_image
+from .centerline import decode_image, encode_image
 from .volume import Volume, sample_trilinear
 
 _REFERENCE_T = 1000  # step count at which the canonical beta range applies
@@ -112,9 +116,6 @@ def time_embedding(t, dim: int = 16) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-_PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-
 class MlpDenoiser:
     """Two-hidden-layer tanh perceptron predicting the added noise.
 
@@ -130,20 +131,26 @@ class MlpDenoiser:
         self.time_dim = time_dim
         self.d_in = k_points * 3 + k_points * n_features + time_dim
         self.d_out = k_points * 3
-        rng = np.random.default_rng(seed)
-
-        def xavier(n_out, n_in):
-            s = np.sqrt(6.0 / (n_in + n_out))
-            return rng.uniform(-s, s, size=(n_out, n_in))
-
-        self.params = {
-            "w1": xavier(hidden, self.d_in),
-            "b1": np.zeros(hidden),
-            "w2": xavier(hidden, hidden),
-            "b2": np.zeros(hidden),
-            "w3": xavier(self.d_out, hidden),
-            "b3": np.zeros(self.d_out),
+        shapes = {
+            "w1": (hidden, self.d_in), "b1": (hidden,),
+            "w2": (hidden, hidden), "b2": (hidden,),
+            "w3": (self.d_out, hidden), "b3": (self.d_out,),
         }
+        self._layout, pos = {}, 0
+        for key, shape in shapes.items():
+            self._layout[key] = (slice(pos, pos + math.prod(shape)), shape)
+            pos += math.prod(shape)
+        self.flat = np.zeros(pos)
+        self.params = self._views(self.flat)
+        rng = np.random.default_rng(seed)
+        for key in ("w1", "w2", "w3"):  # xavier uniform, biases stay zero
+            n_out, n_in = shapes[key]
+            s = np.sqrt(6.0 / (n_in + n_out))
+            self.params[key][...] = rng.uniform(-s, s, size=(n_out, n_in))
+
+    def _views(self, buf: np.ndarray) -> dict:
+        """Named views into a buffer laid out like ``flat``."""
+        return {key: buf[sl].reshape(shape) for key, (sl, shape) in self._layout.items()}
 
     def assemble_input(self, ci_t, t, features) -> np.ndarray:
         ci_t = np.asarray(ci_t, dtype=np.float64)
@@ -168,21 +175,23 @@ class MlpDenoiser:
         out = h2 @ p["w3"].T + p["b3"]
         return out, (x, h1, h2)
 
-    def backward(self, cache, d_out: np.ndarray) -> dict:
+    def backward(self, cache, d_out: np.ndarray) -> np.ndarray:
+        """Gradient of the loss as one array laid out like ``flat``."""
         x, h1, h2 = cache
         p = self.params
-        grads = {}
-        grads["w3"] = d_out.T @ h2
-        grads["b3"] = d_out.sum(axis=0)
+        grad = np.empty_like(self.flat)
+        g = self._views(grad)
+        np.matmul(d_out.T, h2, out=g["w3"])
+        d_out.sum(axis=0, out=g["b3"])
         dh2 = d_out @ p["w3"]
         dz2 = dh2 * (1.0 - h2 * h2)
-        grads["w2"] = dz2.T @ h1
-        grads["b2"] = dz2.sum(axis=0)
+        np.matmul(dz2.T, h1, out=g["w2"])
+        dz2.sum(axis=0, out=g["b2"])
         dh1 = dz2 @ p["w2"]
         dz1 = dh1 * (1.0 - h1 * h1)
-        grads["w1"] = dz1.T @ x
-        grads["b1"] = dz1.sum(axis=0)
-        return grads
+        np.matmul(dz1.T, x, out=g["w1"])
+        dz1.sum(axis=0, out=g["b1"])
+        return grad
 
     def predict(self, ci_t, t, features) -> np.ndarray:
         single = np.asarray(ci_t).ndim == 2
@@ -191,39 +200,22 @@ class MlpDenoiser:
         out = out.reshape(-1, self.k_points, 3)
         return out[0] if single else out
 
-    # flat views used by checkpoints and finite-difference checks
-    def flatten_params(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in _PARAM_ORDER])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        pos = 0
-        for k in _PARAM_ORDER:
-            n = self.params[k].size
-            self.params[k] = flat[pos : pos + n].reshape(self.params[k].shape).copy()
-            pos += n
-        if pos != flat.size:
-            raise ValueError("parameter payload size mismatch")
-
 
 @dataclass(frozen=True)
 class TrainingPair:
     """One supervised sample: a clean centerline image plus its volume context."""
 
     ci0: np.ndarray
-    encoder: object  # callable (N, 3) world points -> (N, F)
+    encoder: VolumeFeatureEncoder
     bounds_lo: np.ndarray
     bounds_hi: np.ndarray
 
     @staticmethod
-    def from_volume(vol: Volume, centerline_points, encoder=None) -> "TrainingPair":
-        from .centerline import encode_image
-
+    def from_volume(vol: Volume, centerline_points) -> "TrainingPair":
         lo, hi = vol.bounds()
-        enc = encoder if encoder is not None else VolumeFeatureEncoder(vol)
         return TrainingPair(
             ci0=encode_image(centerline_points, lo, hi),
-            encoder=enc,
+            encoder=VolumeFeatureEncoder(vol),
             bounds_lo=lo,
             bounds_hi=hi,
         )
@@ -244,46 +236,41 @@ class TrainConfig:
             raise ValueError("train config rates and counts must be positive")
 
 
-def loss_and_grads(pairs, denoiser, sched: NoiseSchedule, rng) -> tuple[float, dict | None]:
+def loss_and_grads(pairs, denoiser, sched: NoiseSchedule, rng) -> tuple[float, np.ndarray | None]:
     """Mean squared noise-prediction error over a batch.
 
     Per sample, t ~ U{1..T} and eps ~ N(0, I); the conditioning features
     are looked up at the noisy points' denormalized world positions.  For
-    the MLP denoiser the analytic parameter gradients are returned; for
-    predict-only denoisers (oracles) the gradient slot is None.
+    the MLP denoiser the analytic gradient is returned, laid out like
+    ``denoiser.flat``; for predict-only denoisers (oracles) it is None.
     """
     if not pairs:
         raise ValueError("empty batch")
     b = len(pairs)
     k = pairs[0].ci0.shape[0]
-    draws = []
-    for pair in pairs:
-        t = int(rng.integers(1, sched.timesteps + 1))
-        eps = rng.standard_normal((k, 3))
-        ci_t = forward_noise(pair.ci0, t, eps, sched)
-        pos = decode_image(ci_t, pair.bounds_lo, pair.bounds_hi)
-        feats = pair.encoder(pos)
-        draws.append((t, eps, ci_t, feats))
+    ts = np.empty(b, dtype=np.int64)
+    eps = np.empty((b, k, 3))
+    ci_t = np.empty((b, k, 3))
+    for i, pair in enumerate(pairs):
+        ts[i] = rng.integers(1, sched.timesteps + 1)
+        eps[i] = rng.standard_normal((k, 3))
+        ci_t[i] = forward_noise(pair.ci0, ts[i], eps[i], sched)
+    feats = [pair.encoder(decode_image(c, pair.bounds_lo, pair.bounds_hi))
+             for pair, c in zip(pairs, ci_t)]
+    targets = eps.reshape(b, k * 3)
 
     if not isinstance(denoiser, MlpDenoiser):
         preds = np.stack(
-            [denoiser.predict(ci_t, t, feats) for t, _, ci_t, feats in draws]
+            [denoiser.predict(c, t, f) for c, t, f in zip(ci_t, ts, feats)]
         ).reshape(b, k * 3)
-        targets = np.stack([eps.ravel() for _, eps, _, _ in draws])
         resid = preds - targets
         return float(np.mean(resid * resid)), None
 
-    xs = np.empty((b, denoiser.d_in))
-    targets = np.empty((b, k * 3))
-    for i, (t, eps, ci_t, feats) in enumerate(draws):
-        xs[i] = denoiser.assemble_input(ci_t, t, feats)[0]
-        targets[i] = eps.ravel()
-    out, cache = denoiser.forward(xs)
+    out, cache = denoiser.forward(denoiser.assemble_input(ci_t, ts, feats))
     resid = out - targets
     loss = float(np.mean(resid * resid))
     d_out = 2.0 * resid / resid.size
-    grads = denoiser.backward(cache, d_out)
-    return loss, grads
+    return loss, denoiser.backward(cache, d_out)
 
 
 class TrainingDiverged(RuntimeError):
@@ -301,13 +288,12 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
     if len(dataset) < 1:
         raise ValueError("empty dataset")
     k = dataset[0].ci0.shape[0]
-    n_feat = getattr(dataset[0].encoder, "n_features", 5)
     if denoiser is None:
-        denoiser = MlpDenoiser(k, n_feat, seed=cfg.seed)
+        denoiser = MlpDenoiser(k, VolumeFeatureEncoder.n_features, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
-    m = {key: np.zeros_like(val) for key, val in denoiser.params.items()}
-    v = {key: np.zeros_like(val) for key, val in denoiser.params.items()}
+    m = np.zeros_like(denoiser.flat)
+    v = np.zeros_like(denoiser.flat)
     curve = []
     recent = []
     initial_loss = None
@@ -315,7 +301,7 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
     for it in range(1, cfg.iterations + 1):
         idx = rng.integers(0, len(dataset), size=cfg.batch_size)
         batch = [dataset[i] for i in idx]
-        loss, grads = loss_and_grads(batch, denoiser, sched, rng)
+        loss, g = loss_and_grads(batch, denoiser, sched, rng)
         if initial_loss is None:
             initial_loss = loss
         bad_streak = bad_streak + 1 if loss > 10.0 * initial_loss else 0
@@ -324,13 +310,11 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
                 f"loss {loss:.4g} stayed above 10x initial ({initial_loss:.4g}) "
                 f"for 500 iterations (at iteration {it})"
             )
-        for key in _PARAM_ORDER:
-            g = grads[key]
-            m[key] = cfg.beta1 * m[key] + (1 - cfg.beta1) * g
-            v[key] = cfg.beta2 * v[key] + (1 - cfg.beta2) * g * g
-            mhat = m[key] / (1 - cfg.beta1 ** it)
-            vhat = v[key] / (1 - cfg.beta2 ** it)
-            denoiser.params[key] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+        m = cfg.beta1 * m + (1 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+        mhat = m / (1 - cfg.beta1 ** it)
+        vhat = v / (1 - cfg.beta2 ** it)
+        denoiser.flat -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
         recent.append(loss)
         if len(recent) > 100:
             recent.pop(0)
@@ -409,7 +393,7 @@ def save_checkpoint(denoiser: MlpDenoiser, sched: NoiseSchedule, path_stem, seed
         "payload_dtype": "f32le",
     }
     stem.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    payload = denoiser.flatten_params().astype("<f4")
+    payload = denoiser.flat.astype("<f4")
     stem.with_suffix(".f32").write_bytes(payload.tobytes())
 
 
@@ -425,8 +409,10 @@ def load_checkpoint(path_stem) -> tuple[MlpDenoiser, NoiseSchedule]:
         time_dim=int(header["time_dim"]),
         seed=int(header.get("seed", 0)),
     )
-    flat = np.frombuffer(stem.with_suffix(".f32").read_bytes(), dtype="<f4").astype(np.float64)
-    den.set_flat_params(flat)
+    payload = np.frombuffer(stem.with_suffix(".f32").read_bytes(), dtype="<f4")
+    if payload.size != den.flat.size:
+        raise ValueError("parameter payload size mismatch")
+    den.flat[:] = payload
     s = header["schedule"]
     sched = NoiseSchedule(int(s["timesteps"]), float(s["beta_start"]), float(s["beta_end"]))
     return den, sched

@@ -121,23 +121,18 @@ def segment_slice(slc: Slice, prompt_pixel, threshold: float = 0.5) -> Mask:
 
     seed = (i0, j0)
     if not above[seed]:
-        best = None
         r = _PROMPT_SEARCH_RADIUS
-        for i in range(max(0, i0 - r), min(n, i0 + r + 1)):
-            for j in range(max(0, j0 - r), min(n, j0 + r + 1)):
-                if not above[i, j]:
-                    continue
-                d2 = (i - i0) ** 2 + (j - j0) ** 2
-                if d2 > r * r:
-                    continue
-                cand = (d2, i, j)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
+        lo_i, lo_j = max(0, i0 - r), max(0, j0 - r)
+        ii, jj = np.nonzero(above[lo_i : i0 + r + 1, lo_j : j0 + r + 1])
+        ii, jj = ii + lo_i, jj + lo_j
+        d2 = (ii - i0) ** 2 + (jj - j0) ** 2
+        near = d2 <= r * r
+        if not near.any():
             raise SegmentationFailed(
                 f"no pixel >= {threshold} within {r} pixels of prompt {(i0, j0)}"
             )
-        seed = (best[1], best[2])
+        best = np.lexsort((jj[near], ii[near], d2[near]))[0]  # least (d2, i, j)
+        seed = (int(ii[near][best]), int(jj[near][best]))
 
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
     labels, _ = ndimage.label(above, structure=structure)
@@ -229,13 +224,9 @@ def resample_contour(contour: Contour, m: int = 32) -> Contour:
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
 
     seam = int(np.argmax(p[:, 0]))
-    s0 = cum[seam]
-    out = np.empty((m, 2))
-    out[0] = p[seam]
-    for k in range(1, m):
-        s = (s0 + k * perim / m) % perim
-        e = int(np.searchsorted(cum, s, side="right")) - 1
-        e = min(e, n - 1)
-        t = (s - cum[e]) / seg_len[e] if seg_len[e] > 0 else 0.0
-        out[k] = p[e] + t * edges[e]
+    s = (cum[seam] + np.arange(1, m) * perim / m) % perim
+    e = np.minimum(np.searchsorted(cum, s, side="right") - 1, n - 1)
+    # a zero-length edge contributes its start vertex (t = 0)
+    t = np.divide(s - cum[e], seg_len[e], out=np.zeros(m - 1), where=seg_len[e] > 0)
+    out = np.vstack([p[seam], p[e] + t[:, None] * edges[e]])
     return Contour(out, "plane-mm")

@@ -9,6 +9,7 @@ seeds in the config.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -45,8 +46,9 @@ def _read_json(path):
 
 
 # Every config key and its default, for every command: section -> key ->
-# default.  `resolve_config` casts a value to its default's type; keys whose
-# default is None pass through, and `phantom` is parsed into a PhantomSpec.
+# default.  `resolve_config` takes a value only of its default's type (see
+# `_cast`); keys whose default is None pass through, and `phantom` is parsed
+# into a PhantomSpec.
 _DEFAULTS = {
     "seed": cdm.TrainConfig.seed,
     "out": None,
@@ -71,11 +73,25 @@ _DEFAULTS = {
 }
 
 
+def _cast(value, default):
+    """value as its default's type, which must accept it (a bool is no number
+    here); a tuple default takes a list of its length (or the tuple that
+    resolving gave), element by element.  Raises TypeError otherwise."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise TypeError(f"expected a list of {len(default)} values, got {value!r}")
+        return tuple(_cast(v, d) for v, d in zip(value, default))
+    accepts = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}[type(default)]
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, accepts):
+        raise TypeError(f"expected {type(default).__name__}, got {value!r}")
+    return type(default)(value)
+
+
 def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
     """The config with every default filled in and every value cast.
 
     Raises ValueError naming the dotted path of the first non-object
-    section, unknown key or value that cannot be cast.
+    section, unknown key or value of the wrong type.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
@@ -88,11 +104,10 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
         if isinstance(default, dict):
             resolved[key] = resolve_config(value, default, f"{where}{key}.")
             continue
-        cast = type(default) if default is not None else None
-        if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
-            cast = phantom.PhantomSpec.from_dict
         try:
-            resolved[key] = cast(value) if cast else value
+            if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
+                value = phantom.PhantomSpec.from_dict(value)
+            resolved[key] = value if default is None else _cast(value, default)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {where}{key}: {exc}") from exc
     return resolved

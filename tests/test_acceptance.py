@@ -263,16 +263,15 @@ def test_criterion_8_diffusion_suite():
     vol = phantom.rasterize(spec)
     pair = cdm.TrainingPair.from_volume(vol, phantom.analytic_centerline(spec, 16))
     den = cdm.MlpDenoiser(16, 5, hidden=24, seed=5)
-    flat0 = den.flatten_params()
+    flat0 = den.flat.copy()
 
     def loss_at(flat):
-        den.set_flat_params(flat)
+        den.flat[:] = flat
         loss, _ = cdm.loss_and_grads([pair] * 3, den, sched, np.random.default_rng(6))
         return loss
 
-    den.set_flat_params(flat0)
-    _, grads = cdm.loss_and_grads([pair] * 3, den, sched, np.random.default_rng(6))
-    gflat = np.concatenate([grads[k].ravel() for k in ("w1", "b1", "w2", "b2", "w3", "b3")])
+    den.flat[:] = flat0
+    _, gflat = cdm.loss_and_grads([pair] * 3, den, sched, np.random.default_rng(6))
     rng = np.random.default_rng(7)
     idx = rng.choice(flat0.size, 100, replace=False)
     h = 1e-5

@@ -75,7 +75,7 @@ def test_loss_zero_for_oracle(sched, single_pair):
 
 def test_loss_near_one_for_zero_denoiser(sched, single_pair):
     den = cdm.MlpDenoiser(16, 5, hidden=32, seed=0)
-    den.set_flat_params(np.zeros(den.flatten_params().size))
+    den.flat[:] = np.zeros(den.flat.size)
     rng = np.random.default_rng(4)
     losses = [cdm.loss_and_grads([single_pair] * 16, den, sched, rng)[0] for _ in range(40)]
     assert abs(np.mean(losses) - 1.0) <= 0.05
@@ -83,19 +83,18 @@ def test_loss_near_one_for_zero_denoiser(sched, single_pair):
 
 def test_gradcheck_all_blocks(sched, single_pair):
     den = cdm.MlpDenoiser(16, 5, hidden=24, seed=5)
-    flat0 = den.flatten_params()
+    flat0 = den.flat.copy()
     rng_seed = 6
 
     def loss_at(flat):
-        den.set_flat_params(flat)
+        den.flat[:] = flat
         loss, _ = cdm.loss_and_grads([single_pair] * 3, den, sched,
                                      np.random.default_rng(rng_seed))
         return loss
 
-    den.set_flat_params(flat0)
-    _, grads = cdm.loss_and_grads([single_pair] * 3, den, sched,
+    den.flat[:] = flat0
+    _, gflat = cdm.loss_and_grads([single_pair] * 3, den, sched,
                                   np.random.default_rng(rng_seed))
-    gflat = np.concatenate([grads[k].ravel() for k in _PARAM_ORDER])
 
     # per-block coordinate coverage
     rng = np.random.default_rng(7)
@@ -138,7 +137,7 @@ def test_train_deterministic(sched, single_pair):
     cfg = cdm.TrainConfig(iterations=40, seed=11)
     d1, c1 = cdm.train([single_pair], cfg, sched)
     d2, c2 = cdm.train([single_pair], cfg, sched)
-    assert np.array_equal(d1.flatten_params(), d2.flatten_params())
+    assert np.array_equal(d1.flat, d2.flat)
     assert c1 == c2
 
 
@@ -159,7 +158,7 @@ def test_sampling_deterministic(sched, single_pair, small_volume):
 def test_sampling_zero_denoiser_bounded(small_volume):
     sched_long = cdm.NoiseSchedule(1000)
     den = cdm.MlpDenoiser(16, 5, hidden=16, seed=3)
-    den.set_flat_params(np.zeros(den.flatten_params().size))
+    den.flat[:] = np.zeros(den.flat.size)
     enc = cdm.VolumeFeatureEncoder(small_volume)
     out = cdm.sample(small_volume, enc, den, sched_long, np.random.default_rng(10))
     assert np.isfinite(out).all()
@@ -213,6 +212,16 @@ def test_checkpoint_round_trip(tmp_path, sched):
     cdm.save_checkpoint(again, sched2, tmp_path / "model2", seed=4)
     assert (tmp_path / "model.f32").read_bytes() == (tmp_path / "model2.f32").read_bytes()
     assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
+
+
+def test_checkpoint_payload_of_wrong_size_fails(tmp_path, sched):
+    den = cdm.MlpDenoiser(16, 5, hidden=32, seed=4)
+    cdm.save_checkpoint(den, sched, tmp_path / "model", seed=4)
+    payload = (tmp_path / "model.f32").read_bytes()
+    for bad in (payload[:-4], payload + payload[:4]):
+        (tmp_path / "model.f32").write_bytes(bad)
+        with pytest.raises(ValueError, match="payload size"):
+            cdm.load_checkpoint(tmp_path / "model")
 
 
 def test_encoder_gradient_exact_on_affine():

@@ -216,6 +216,11 @@ def _with(section, key, value):
     (["mesh"], _with("surface", "tess_U", 8), "surface.tess_U"),
     (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_mm": 5.0}},
      "family.radius_mm"),
+    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "dims": "abc"}}, "family.dims"),
+    (["pipeline"], _with("surface", "caps", "false"), "surface.caps"),
+    (["pipeline"], _with("surface", "tess_u", 31.9), "surface.tess_u"),
+    (["pipeline"], _with("surface", "tess_u", True), "surface.tess_u"),
+    (["pipeline"], _with("centerline", "smooth", 0), "centerline.smooth"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"

@@ -193,3 +193,114 @@ def test_contour_invariants():
         lumenseg.Contour(np.zeros((10, 3)), "plane-mm")
     with pytest.raises(ValueError):
         lumenseg.Contour(np.zeros((10, 2)), "nowhere")
+
+
+# ---------------------------------------------------------------------------
+# the prompt search and the arc-length walk against the loops they replaced,
+# kept verbatim: equal seeds and equal bytes
+
+
+def _loop_prompt_seed(above, i0, j0):
+    n = above.shape[0]
+    best = None
+    r = lumenseg._PROMPT_SEARCH_RADIUS
+    for i in range(max(0, i0 - r), min(n, i0 + r + 1)):
+        for j in range(max(0, j0 - r), min(n, j0 + r + 1)):
+            if not above[i, j]:
+                continue
+            d2 = (i - i0) ** 2 + (j - j0) ** 2
+            if d2 > r * r:
+                continue
+            cand = (d2, i, j)
+            if best is None or cand < best:
+                best = cand
+    return None if best is None else (best[1], best[2])
+
+
+def _loop_resample(contour, m):
+    p = contour.points
+    n = len(p)
+    edges = np.roll(p, -1, axis=0) - p
+    seg_len = np.linalg.norm(edges, axis=1)
+    perim = float(seg_len.sum())
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+
+    seam = int(np.argmax(p[:, 0]))
+    s0 = cum[seam]
+    out = np.empty((m, 2))
+    out[0] = p[seam]
+    for k in range(1, m):
+        s = (s0 + k * perim / m) % perim
+        e = int(np.searchsorted(cum, s, side="right")) - 1
+        e = min(e, n - 1)
+        t = (s - cum[e]) / seg_len[e] if seg_len[e] > 0 else 0.0
+        out[k] = p[e] + t * edges[e]
+    return out
+
+
+def _prompt_cases():
+    rng = np.random.default_rng(30)
+    for n in (16, 24, 64):
+        for _ in range(400):
+            pixels = np.where(rng.random((n, n)) < rng.uniform(0.0, 0.2), 1.0, 0.0)
+            i0, j0 = (int(v) for v in rng.integers(0, n, 2))
+            pixels[i0, j0] = 0.25
+            yield pixels, (i0, j0)
+    # ties at equal distance: every pixel with d2 = 25 is above threshold, and
+    # so are pairs mirrored about the prompt
+    n = 20
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    for i0, j0 in ((10, 10), (2, 10), (10, 17), (0, 0), (19, 4)):
+        d2 = (ii - i0) ** 2 + (jj - j0) ** 2
+        yield np.where(d2 == 25, 1.0, 0.0), (i0, j0)
+        for di, dj in ((1, 2), (2, 2), (0, 3)):
+            pixels = np.zeros((n, n))
+            for a, b in ((i0 + di, j0 + dj), (i0 - di, j0 - dj), (i0 + dj, j0 - di)):
+                if 0 <= a < n and 0 <= b < n:
+                    pixels[a, b] = 1.0
+            yield pixels, (i0, j0)
+
+
+def test_prompt_search_matches_loop():
+    seen = {"found": 0, "failed": 0}
+    for pixels, prompt in _prompt_cases():
+        slc = slicer.Slice(_plane(n_pix=pixels.shape[0]), pixels)
+        want = _loop_prompt_seed(pixels >= 0.5, *prompt)
+        if want is None:
+            with pytest.raises(lumenseg.SegmentationFailed):
+                lumenseg.segment_slice(slc, prompt)
+            seen["failed"] += 1
+        else:
+            assert lumenseg.segment_slice(slc, prompt).prompt == want
+            seen["found"] += 1
+    assert seen["found"] > 1000 and seen["failed"] > 50
+
+
+def _resample_cases():
+    rng = np.random.default_rng(31)
+    for case in range(3000):
+        n = int(rng.integers(8, 201))
+        theta = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+        radius = rng.uniform(1.0, 3.0, n)
+        pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+        if case % 3 == 0:
+            pts = np.round(pts * 4.0) / 4.0  # some edges get zero length
+        yield pts, int(rng.integers(8, 80))
+    # regular polygons from angle pi, closed by a repeat of the first vertex:
+    # the running sum of edge lengths ends below their total, so the walk
+    # reaches the clamp to the last edge, whose length is zero
+    for n in range(8, 40, 2):
+        theta = np.pi + 2 * np.pi * np.arange(n) / n
+        pts = 3.7 * np.column_stack([np.cos(theta), np.sin(theta)])
+        for m in range(8, 80, 6):
+            yield np.vstack([pts, pts[:1]]), m
+
+
+def test_resample_matches_loop_bytes():
+    zero_edges = 0
+    for pts, m in _resample_cases():
+        zero_edges += int((np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) == 0).sum())
+        contour = lumenseg.Contour(pts, "plane-mm")
+        got = lumenseg.resample_contour(contour, m).points
+        assert got.tobytes() == _loop_resample(contour, m).tobytes()
+    assert zero_edges > 1000

@@ -209,6 +209,19 @@ def test_compare_baseline_outputs(tmp_path):
     assert (tmp_path / "cmp" / "mc_mesh.obj").exists()
 
 
+# sha256 of the train and sample artifacts of the roundtrip configs below:
+# the checkpoint payload, its header, the loss curve and the sampled
+# centerline; the perfbench manifest reports moved checkpoint bytes but never
+# fails
+_CDM_SHA256 = {
+    "train/model.f32": "e1b50c52150ea8f60060df5db31e196fcce4430b1d0ab665c6dc9d70b620faec",
+    "train/model.json": "e8c0962d8a636f29fd28166d993bc091d64d0491486b146c674b3637d2e78ef1",
+    "train/loss_curve.csv": "52bed8c5e5350b09429bb7d668b7610c77d8267a333e0fce504bcc9e95dc9e7a",
+    "sample/sampled_centerline.csv":
+        "2d2832b19b709e79f64fdecf02295e6e9b996f6ebcb848ec96c228965f9c0632",
+}
+
+
 def test_cdm_train_and_sample_roundtrip(tmp_path):
     train_cfg = {
         "seed": 0,
@@ -235,6 +248,9 @@ def test_cdm_train_and_sample_roundtrip(tmp_path):
     # determinism of the sampling command
     csv2 = pipeline.sample_cdm(sample_cfg, tmp_path / "sample2")
     assert csv_path.read_bytes() == csv2.read_bytes()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _CDM_SHA256}
+    assert got == _CDM_SHA256
 
 
 def test_cdm_source_in_pipeline(tmp_path):
@@ -317,11 +333,25 @@ def test_readme_example_config_resolves():
     ({"surface": {"tess_u": "abc"}}, "surface.tess_u"),
     ({"surface": [64, 64]}, "surface"),
     ({"phantom": {"shape": "straight", "base_radius": 5.0}}, "base_radius"),
+    ({"family": {"dims": [32, 32.5, 32]}}, "family.dims"),
 ])
 def test_bad_config_fails_before_any_file(tmp_path, override, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         pipeline.run_pipeline(_tiny_config(**override), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_numbers_widen_to_float_and_tuples_take_lists():
+    resolved = pipeline.resolve_config({
+        "seed": np.int64(3), "contours": {"threshold": 1},
+        "family": {"dims": [32, 32, 32], "spacing_mm": [1, 1.5, 2]},
+    })
+    assert type(resolved["seed"]) is int and resolved["seed"] == 3
+    threshold = resolved["contours"]["threshold"]
+    assert type(threshold) is float and threshold == 1.0
+    assert resolved["family"]["dims"] == (32, 32, 32)
+    assert resolved["family"]["spacing_mm"] == (1.0, 1.5, 2.0)
+    assert all(type(v) is float for v in resolved["family"]["spacing_mm"])
 
 
 def test_unknown_family_key_fails_before_training(tmp_path):
