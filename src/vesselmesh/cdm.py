@@ -331,7 +331,6 @@ def sample(
     rng,
     deterministic: bool = False,
     x_init: np.ndarray | None = None,
-    k_points: int | None = None,
 ):
     """Ancestral sampling of a centerline conditioned on the volume.
 
@@ -340,7 +339,7 @@ def sample(
     polyline.  The noise injection is skipped at the final step and, when
     ``deterministic`` is set, at every step.
     """
-    k = k_points if k_points is not None else denoiser.k_points
+    k = denoiser.k_points
     lo, hi = vol.bounds()
     x = rng.standard_normal((k, 3)) if x_init is None else np.array(x_init, dtype=np.float64)
     for t in range(sched.timesteps, 0, -1):
@@ -363,10 +362,10 @@ class OracleDenoiser:
     returns the exact noise that would have produced it from ci0 by the
     closed-form forward process."""
 
-    def __init__(self, ci0: np.ndarray, sched: NoiseSchedule, k_points: int | None = None):
+    def __init__(self, ci0: np.ndarray, sched: NoiseSchedule):
         self.ci0 = np.asarray(ci0, dtype=np.float64)
         self.sched = sched
-        self.k_points = k_points if k_points is not None else self.ci0.shape[0]
+        self.k_points = self.ci0.shape[0]
 
     def predict(self, ci_t, t, features) -> np.ndarray:
         ab = self.sched.alpha_bars[t]

@@ -19,13 +19,9 @@ def best_shift(prev_pts: np.ndarray, next_pts: np.ndarray) -> tuple[int, float]:
     All M shifts are evaluated; ties break toward the smallest k.
     """
     m = len(prev_pts)
-    # cost(k) = sum |prev|^2 + sum |next|^2 - 2 sum_i prev_i . next_{i+k}
-    # the cross term for all k is a circular correlation, computed directly
-    costs = np.empty(m)
-    for k in range(m):
-        rolled = np.roll(next_pts, -k, axis=0)
-        diff = prev_pts - rolled
-        costs[k] = np.einsum("ij,ij->", diff, diff)
+    # row k of the gather is next_pts rolled by -k
+    diff = prev_pts - next_pts[(np.arange(m)[:, None] + np.arange(m)) % m]
+    costs = np.einsum("kij,kij->k", diff, diff)
     k_star = int(np.argmin(costs))
     return k_star, float(costs[k_star])
 

@@ -78,30 +78,6 @@ def signed_area(points2d) -> float:
     return float(0.5 * np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
 
 
-def is_simple(points2d, tol: float = 1e-12) -> bool:
-    """O(M^2) proper segment-intersection check on a closed polygon."""
-    p = np.asarray(points2d, dtype=np.float64)
-    m = len(p)
-    segs = [(p[i], p[(i + 1) % m]) for i in range(m)]
-    for i in range(m):
-        a1, a2 = segs[i]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue  # adjacent segments share an endpoint
-            b1, b2 = segs[j]
-            r = a2 - a1
-            s = b2 - b1
-            denom = r[0] * s[1] - r[1] * s[0]
-            if abs(denom) < tol:
-                continue
-            qp = b1 - a1
-            t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-            u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-            if tol < t < 1 - tol and tol < u < 1 - tol:
-                return False
-    return True
-
-
 def segment_slice(slc: Slice, prompt_pixel, threshold: float = 0.5) -> Mask:
     """4-connected flood fill of the superlevel set from the prompt pixel.
 

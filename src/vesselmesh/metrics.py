@@ -27,8 +27,6 @@ def _as_points(a) -> np.ndarray:
 
 
 def _nearest_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(b) <= 32:
-        return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)).min(axis=1)
     d, _ = cKDTree(b).query(a)
     return d
 

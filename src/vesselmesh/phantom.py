@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -155,19 +156,33 @@ def radius_profile(spec: PhantomSpec, s: np.ndarray) -> np.ndarray:
     return r
 
 
+def peak_radius(spec: PhantomSpec) -> float:
+    """Largest lumen radius of the main tube: the bump's top, or the base."""
+    return spec.base_radius_mm * (1.0 + max(effective_bump(spec), 0.0))
+
+
+def _tube(spec: PhantomSpec, branch: str):
+    """(curve, radius, length) of one tube of the phantom.
+
+    ``curve(s)`` gives the unit-speed centerline points and ``radius(s)`` the
+    lumen radius at arc lengths s in [0, length].
+    """
+    if branch == "main":
+        return partial(_main_curve, spec), partial(radius_profile, spec), spec.length_mm
+    if branch != "side":
+        raise ValueError(f"unknown branch {branch!r}")
+    if spec.shape != "branched":
+        raise ValueError("side branch only exists for the branched shape")
+    radius = partial(np.full_like, fill_value=spec.branch_radius_mm)
+    return partial(_branch_curve, spec), radius, spec.branch_length_mm
+
+
 def analytic_centerline(spec: PhantomSpec, k: int = 16, branch: str = "main") -> np.ndarray:
     """k points uniformly spaced by arc length on the analytic curve."""
     if k < 4:
         raise ValueError("k must be at least 4")
-    if branch == "main":
-        s = np.linspace(0.0, spec.length_mm, k)
-        return _main_curve(spec, s)
-    if branch == "side":
-        if spec.shape != "branched":
-            raise ValueError("side branch only exists for the branched shape")
-        s = np.linspace(0.0, spec.branch_length_mm, k)
-        return _branch_curve(spec, s)
-    raise ValueError(f"unknown branch {branch!r}")
+    curve, _, length = _tube(spec, branch)
+    return curve(np.linspace(0.0, length, k))
 
 
 def analytic_surface(
@@ -176,13 +191,10 @@ def analytic_surface(
     """Swept-circle ground-truth mesh using the centerline module's frames."""
     if nu < 8 or nv < 8:
         raise ValueError("analytic surface needs nu, nv >= 8")
-    pts = analytic_centerline(spec, max(nu, 4), branch=branch)
-    frs = cl.frames(pts)
-    if branch == "main":
-        s = np.linspace(0.0, spec.length_mm, nu)
-        radii = radius_profile(spec, s)
-    else:
-        radii = np.full(nu, spec.branch_radius_mm)
+    curve, radius, length = _tube(spec, branch)
+    s = np.linspace(0.0, length, nu)
+    frs = cl.frames(curve(s))
+    radii = radius(s)
     theta = 2.0 * np.pi * np.arange(nv) / nv
     anchor = np.stack([fr.anchor for fr in frs])[:, None, :]
     b = np.stack([fr.b for fr in frs])[:, None, :]
@@ -192,13 +204,6 @@ def analytic_surface(
         np.cos(theta)[:, None] * b + np.sin(theta)[:, None] * n
     )
     return loft_rings(rings, caps=caps)
-
-
-def _dense_curve_samples(spec: PhantomSpec, branch: str, n: int = 1024):
-    length = spec.length_mm if branch == "main" else spec.branch_length_mm
-    s = np.linspace(0.0, length, n)
-    pts = _main_curve(spec, s) if branch == "main" else _branch_curve(spec, s)
-    return s, pts
 
 
 def _distance_to_curve(query: np.ndarray, s: np.ndarray, pts: np.ndarray):
@@ -236,39 +241,31 @@ def rasterize(spec: PhantomSpec) -> Volume:
     nx, ny, nz = spec.dims
     sp = np.asarray(spec.spacing_mm, dtype=np.float64)
     w = spec.wall_softness
-
-    branches = ["main"]
-    if spec.shape == "branched":
-        branches.append("side")
-
-    # bounds check: at every centerline sample, the local radius plus 2w
-    # must fit inside the volume
     hi_extent = (np.asarray(spec.dims, dtype=np.float64) - 1.0) * sp
-    for br in branches:
-        s, pts = _dense_curve_samples(spec, br, 256)
-        rad = radius_profile(spec, s) if br == "main" else np.full_like(s, spec.branch_radius_mm)
-        margin = (rad + 2.0 * w)[:, None]
-        if (pts - margin < 0).any() or (pts + margin > hi_extent).any():
-            raise ValueError(f"phantom tube ({br}) exceeds volume bounds")
-
     xs = np.arange(nx) * sp[0]
     ys = np.arange(ny) * sp[1]
     zs = np.arange(nz) * sp[2]
     intensity = np.zeros((nz, ny, nx), dtype=np.float64)
 
-    for br in branches:
-        s_dense, pts_dense = _dense_curve_samples(spec, br)
+    for branch in ("main", "side") if spec.shape == "branched" else ("main",):
+        curve, radius, length = _tube(spec, branch)
+        # bounds check: at every centerline sample, the local radius plus 2w
+        # must fit inside the volume
+        s = np.linspace(0.0, length, 256)
+        pts = curve(s)
+        margin = (radius(s) + 2.0 * w)[:, None]
+        if (pts - margin < 0).any() or (pts + margin > hi_extent).any():
+            raise ValueError(f"phantom tube ({branch}) exceeds volume bounds")
+
+        s_dense = np.linspace(0.0, length, 1024)
+        pts_dense = curve(s_dense)
         # z-slab chunks bound the KD-tree query memory
         for z0 in range(0, nz, 16):
             z1 = min(z0 + 16, nz)
             gz, gy, gx = np.meshgrid(zs[z0:z1], ys, xs, indexing="ij")
             query = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
             d, s_near = _distance_to_curve(query, s_dense, pts_dense)
-            if br == "main":
-                r = radius_profile(spec, s_near)
-            else:
-                r = np.full_like(d, spec.branch_radius_mm)
-            val = np.clip(1.0 - (d - r) / w, 0.0, 1.0)
+            val = np.clip(1.0 - (d - radius(s_near)) / w, 0.0, 1.0)
             block = intensity[z0:z1].reshape(-1)
             np.maximum(block, val, out=block)
 

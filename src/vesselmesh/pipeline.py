@@ -188,8 +188,7 @@ def _slice_geometry(config: dict, out: Path):
     if half_extent is None:
         if config["phantom"] is not None:
             spec = phantom.load_spec(out / "phantom_spec.json")
-            bump = max(phantom.effective_bump(spec), 0.0)
-            half_extent = 4.0 * spec.base_radius_mm * (1.0 + bump)
+            half_extent = 4.0 * phantom.peak_radius(spec)
         else:
             raise ValueError("slice.half_extent_mm is required for non-phantom volumes")
     n_pix = config["slice"]["n_pix"]

@@ -161,14 +161,14 @@ def normalize(vol: Volume) -> Volume:
     return Volume(out, vol.spacing, vol.origin)
 
 
-def store_raw(vol: Volume, path, header_path=None) -> None:
+def store_raw(vol: Volume, path) -> None:
     """Write the payload as little-endian float32 plus a JSON sidecar.
 
-    The payload is the canonical x-fastest flat order.  ``header_path``
-    defaults to the payload path with a ``.json`` suffix appended.
+    The payload is the canonical x-fastest flat order.  The sidecar is the
+    payload path with a ``.json`` suffix appended.
     """
     path = Path(path)
-    header_path = Path(header_path) if header_path else path.with_suffix(path.suffix + ".json")
+    header_path = path.with_suffix(path.suffix + ".json")
     nx, ny, nz = vol.dims
     header = {
         "dims": [nx, ny, nz],
@@ -181,14 +181,13 @@ def store_raw(vol: Volume, path, header_path=None) -> None:
     path.write_bytes(payload.tobytes())
 
 
-def load_raw(path, header_path=None) -> Volume:
+def load_raw(path) -> Volume:
     """Read a volume written by :func:`store_raw`.
 
     ``store_raw`` followed by ``load_raw`` is the identity, bit-exact.
     """
     path = Path(path)
-    header_path = Path(header_path) if header_path else path.with_suffix(path.suffix + ".json")
-    header = json.loads(header_path.read_text())
+    header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     if header.get("dtype") != "f32le":
         raise ValueError(f"unknown dtype {header.get('dtype')!r}, expected 'f32le'")
     nx, ny, nz = (int(d) for d in header["dims"])

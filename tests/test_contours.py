@@ -51,6 +51,35 @@ def test_exhaustive_search_is_optimal():
     assert k_star == int(np.argmin(costs))
 
 
+def _loop_best_shift(prev_pts, next_pts):
+    """The per-shift loop best_shift replaced, kept as its reference."""
+    m = len(prev_pts)
+    costs = np.empty(m)
+    for k in range(m):
+        rolled = np.roll(next_pts, -k, axis=0)
+        diff = prev_pts - rolled
+        costs[k] = np.einsum("ij,ij->", diff, diff)
+    k_star = int(np.argmin(costs))
+    return k_star, float(costs[k_star])
+
+
+def test_best_shift_matches_loop_bits():
+    # random, rounded (exact ties) and near-rolled contours of many sizes
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        m = int(rng.integers(3, 80))
+        prev = rng.normal(0.0, 5.0, (m, 3))
+        if i % 3 == 0:
+            nxt = rng.normal(0.0, 5.0, (m, 3))
+        elif i % 3 == 1:
+            prev, nxt = np.round(prev), np.round(rng.normal(0.0, 5.0, (m, 3)))
+        else:
+            nxt = np.roll(prev, int(rng.integers(0, m)), axis=0) + rng.normal(0.0, 1e-9, (m, 3))
+        k, cost = contours.best_shift(prev, nxt)
+        k_ref, cost_ref = _loop_best_shift(prev, nxt)
+        assert (k, cost.hex()) == (k_ref, cost_ref.hex()), i
+
+
 def test_alignment_preserves_geometry():
     rng = np.random.default_rng(2)
     prev = _ring(5.0, 32) + rng.normal(0, 0.2, (32, 3))

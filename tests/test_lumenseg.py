@@ -104,6 +104,30 @@ def test_disk_isoperimetric_ratio():
     assert 4 * np.pi * lumenseg.signed_area(rs.points) / rs.perimeter() ** 2 >= 0.98
 
 
+def _is_simple(points2d, tol: float = 1e-12) -> bool:
+    """O(M^2) proper segment-intersection check on a closed polygon."""
+    p = np.asarray(points2d, dtype=np.float64)
+    m = len(p)
+    segs = [(p[i], p[(i + 1) % m]) for i in range(m)]
+    for i in range(m):
+        a1, a2 = segs[i]
+        for j in range(i + 1, m):
+            if j == i or (j + 1) % m == i or (i + 1) % m == j:
+                continue  # adjacent segments share an endpoint
+            b1, b2 = segs[j]
+            r = a2 - a1
+            s = b2 - b1
+            denom = r[0] * s[1] - r[1] * s[0]
+            if abs(denom) < tol:
+                continue
+            qp = b1 - a1
+            t = (qp[0] * s[1] - qp[1] * s[0]) / denom
+            u = (qp[0] * r[1] - qp[1] * r[0]) / denom
+            if tol < t < 1 - tol and tol < u < 1 - tol:
+                return False
+    return True
+
+
 def test_trace_is_ccw_and_simple(straight_spec, straight_volume):
     pts = phantom.analytic_centerline(straight_spec, 16)
     frs = cl.frames(pts)
@@ -113,7 +137,7 @@ def test_trace_is_ccw_and_simple(straight_spec, straight_volume):
         c = (plane.n_pix - 1) // 2
         contour = lumenseg.trace_boundary(lumenseg.segment_slice(slc, (c, c)), plane)
         assert lumenseg.signed_area(contour.points) > 0
-        assert lumenseg.is_simple(contour.points)
+        assert _is_simple(contour.points)
 
 
 def test_trace_empty_mask_errors():

@@ -79,6 +79,19 @@ def test_metrics_match_brute_force_on_random_pairs():
         assert metrics.emd(a, c) == pytest.approx(_brute_emd(a, c), abs=1e-12)
 
 
+def test_kd_tree_matches_brute_force_bits_on_small_sets():
+    # metrics used to take the brute-force expression below for up to 32
+    # reference points; the KD-tree it uses now gives the same bits
+    rng = np.random.default_rng(2)
+    for i in range(300):
+        a = rng.normal(0.0, 10.0, (int(rng.integers(1, 200)), 3))
+        b = rng.normal(0.0, 10.0, (int(rng.integers(1, 33)), 3))
+        if i % 2:
+            a, b = np.round(a, 2), np.round(b, 2)
+        brute = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)).min(axis=1)
+        assert metrics._nearest_dists(a, b).tobytes() == brute.tobytes(), i
+
+
 def test_emd_errors():
     a = np.zeros((3, 3))
     with pytest.raises(ValueError, match="equal"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -210,3 +211,91 @@ def test_spec_parsing_rejects_unknown_keys(parse):
         parse({"shape": "straight", "base_radius": 5.0})
     spec = parse({"shape": "arc", "dims": [48, 48, 48], "axis_offset_mm": [1.0, 0.0]})
     assert spec.dims == (48, 48, 48) and spec.axis_offset_mm == (1.0, 0.0)
+
+
+# sha256 of rasterize(spec).data, and of analytic_surface(spec, 24, 20) and
+# analytic_centerline(spec, 16) per tube, on one spec per kind of tube: a
+# bump, a dip, a helix, a noisy off-axis arc on non-cubic spacing, and the
+# side branch.  A refactor of the phantom must keep these bytes.
+_PHANTOM_SPECS = {
+    "aneurysm": dict(shape="aneurysm", length_mm=30.0, base_radius_mm=4.0, bump_amplitude=0.35,
+                     dims=(40, 40, 48), spacing_mm=(1.0, 1.0, 1.0)),
+    "coarctation": dict(shape="coarctation", length_mm=30.0, base_radius_mm=5.0,
+                        dims=(40, 40, 48), spacing_mm=(1.0, 1.0, 1.0)),
+    "helix": dict(shape="helix", length_mm=30.0, base_radius_mm=3.0, helix_radius_mm=6.0,
+                  helix_pitch_mm=40.0, dims=(40, 40, 48), spacing_mm=(1.0, 1.0, 1.0)),
+    "arc_noisy_offaxis": dict(shape="arc", length_mm=30.0, base_radius_mm=4.0,
+                              arc_radius_mm=20.0, axis_offset_mm=(1.3, -0.7),
+                              noise_sigma=0.1, seed=3,
+                              dims=(40, 36, 48), spacing_mm=(1.0, 1.1, 0.9)),
+    "branched": dict(shape="branched", length_mm=30.0, base_radius_mm=5.0,
+                     branch_radius_mm=2.5, branch_length_mm=14.0, branch_angle_deg=60.0,
+                     dims=(48, 48, 48), spacing_mm=(1.0, 1.0, 1.0)),
+}
+# the triangles depend on nu, nv and caps alone
+_SURFACE_TRIANGLES_SHA256 = "3fdf732714aed3fb48854a7fc143eea015c4e3186b2fcc3f783bac8892802e68"
+_PHANTOM_SHA256 = {
+    "aneurysm": {
+        "volume": "d6e1d6f0484d15e68e7edaf5388f73a035b7985783d25c2a9fc113c93d6aa321",
+        "main": ("614c3ca99598b167871a20d934e16ced2c7f0f34dbe778d01b176f3620a1c357",
+                 "3bfd2391d0d333f12e5a9700716815f08e7d10dfbd44c8fe8fc0ba62fecbcadc"),
+    },
+    "coarctation": {
+        "volume": "5e61200139ddcc020fc4b54911ea1f18a4828682dd5eb7f81c7659ff7f8076e9",
+        "main": ("1facf64332f3492124616590afb9330cfa60580668bd82463b74f19ea2b0a5c5",
+                 "3bfd2391d0d333f12e5a9700716815f08e7d10dfbd44c8fe8fc0ba62fecbcadc"),
+    },
+    "helix": {
+        "volume": "b525098e94f78a851148e15c9b3e2011f045620171a739347c68f32655fe8227",
+        "main": ("0eff17412dbe798355f1ae5d3b04ca5a443af6daf1ed1d0d99024caf880fd27d",
+                 "4b8b6ea25fdf13b1c9f1f4c72651dbefa734eaedc1a630ea1406f3702c5b4085"),
+    },
+    "arc_noisy_offaxis": {
+        "volume": "772c9a2ebbd3f5c148150a0011d9ca8d8e741b7e5ffa2f795200ecf040f27580",
+        "main": ("0d942649fef62afb4b5874685e275e81158ea66c858f655869f9dcbd989fb959",
+                 "c56b9847b7bab79b8da5f0250caa11274b91a69ab451be7982ed08bef79cb9b7"),
+    },
+    "branched": {
+        "volume": "ca82cd9e2b9d1392dbf9c9f6f57d29ab865772cc1649b26a61732c3b062757af",
+        "main": ("4a9942c98998bf36f26595a7c553f81be44163e6cf722ab12aaf4c17114cb5e6",
+                 "6acddaa77114a73377c18d9458553680548fd03e4b1ca3027ea794bda945ab86"),
+        "side": ("69c7c9fe79afd3e70bb11b12e0b66462a3da1b25b12fafa3c9ec866652dab0dd",
+                 "8867d7d028d610a17c58fcf9e09cfd90fa48886bc3b13833bcc90cadb933ffab"),
+    },
+}
+
+
+def _sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_PHANTOM_SPECS))
+def test_phantom_bytes(case):
+    spec = phantom.PhantomSpec(**_PHANTOM_SPECS[case])
+    pins = _PHANTOM_SHA256[case]
+    assert _sha256(phantom.rasterize(spec).data) == pins["volume"]
+    for branch in ("main", "side") if "side" in pins else ("main",):
+        mesh = phantom.analytic_surface(spec, 24, 20, branch=branch)
+        centerline = phantom.analytic_centerline(spec, 16, branch=branch)
+        got = (_sha256(mesh.vertices), _sha256(centerline))
+        assert got == pins[branch], branch
+        assert _sha256(mesh.triangles) == _SURFACE_TRIANGLES_SHA256
+
+
+def test_side_branch_of_unbranched_shape_errors(straight_spec):
+    with pytest.raises(ValueError, match="^side branch only exists for the branched shape$"):
+        phantom.analytic_centerline(straight_spec, branch="side")
+
+
+def test_unknown_branch_errors(straight_spec):
+    with pytest.raises(ValueError, match="^unknown branch 'left'$"):
+        phantom.analytic_surface(straight_spec, branch="left")
+
+
+def test_side_branch_exceeding_bounds_errors():
+    # the main tube fits; the 40 mm side branch leaves the 56 mm volume
+    spec = phantom.PhantomSpec(shape="branched", length_mm=30.0, base_radius_mm=5.0,
+                               branch_radius_mm=2.5, branch_length_mm=40.0,
+                               dims=(56, 56, 56), spacing_mm=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^phantom tube \(side\) exceeds volume bounds$"):
+        phantom.rasterize(spec)

@@ -71,6 +71,12 @@ _CANONICAL_SHA256 = {
             "c0de527dbedb60ed43b8566fe4075510360498204078645802ba02368907981c",
         "topology.json":
             "c4dae4c0b95683dfd02bec7854d24e621d8a1b054dcfb23dcd15853c987e8aa5",
+        "volume.f32raw":
+            "6beb5ac175f6f9ae315e5398b13eab0e20ed75619878a97eb1c0b19b5ea33ae0",
+        "gt_surface.obj":
+            "edecbe32f261a5cb3b88eae0c3303a26e7008202acfec67ec9ee2adc052928bf",
+        "gt_centerline.csv":
+            "c041ee7cbdab37f9a8e8d64a738c08dbfb814e751ac1ff75ecfbbec04b151800",
     },
     "straight": {
         "centerline.csv":
@@ -85,6 +91,12 @@ _CANONICAL_SHA256 = {
             "268f5f60516d4d76b516324807d0ecdaff88435d94e213db9553f636903eb68a",
         "topology.json":
             "c4dae4c0b95683dfd02bec7854d24e621d8a1b054dcfb23dcd15853c987e8aa5",
+        "volume.f32raw":
+            "b6a005ec00084ee39afa1813daf11c49b28f6154b342f9918b142b4ca24bf34a",
+        "gt_surface.obj":
+            "74f4e8c8324d6c380be82c29f8a933852f272e5a0d1c5c74279ac728775b029e",
+        "gt_centerline.csv":
+            "a0b8e58f95a311674bfc1179057666ae3ed2fcf217f1686927eeb60f24264fdb",
     },
 }
 
