@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lumenseg import Contour
-
 
 def best_shift(prev_pts: np.ndarray, next_pts: np.ndarray) -> tuple[int, float]:
     """Cyclic shift k minimizing sum_i ||prev_i - next_{(i+k) mod M}||^2.
@@ -26,23 +24,18 @@ def best_shift(prev_pts: np.ndarray, next_pts: np.ndarray) -> tuple[int, float]:
     return k_star, float(costs[k_star])
 
 
-def align_adjacent(prev: Contour, next_contour: Contour) -> Contour:
-    """Re-index ``next_contour`` for best correspondence with ``prev``."""
-    if prev.space != "world-3d" or next_contour.space != "world-3d":
-        raise ValueError("alignment expects world-3d contours")
-    if len(prev.points) != len(next_contour.points):
-        raise ValueError(
-            f"contours must share M, got {len(prev.points)} and {len(next_contour.points)}"
-        )
-    k_star, _ = best_shift(prev.points, next_contour.points)
-    return Contour(np.roll(next_contour.points, -k_star, axis=0), "world-3d")
+def align_chain(stations) -> np.ndarray:
+    """Roll each station of a (K, M, 3) stack by its best shift against the
+    aligned station before it; station 0 is unchanged.
 
-
-def align_chain(contours: list[Contour]) -> list[Contour]:
-    """Sequentially align each contour to its predecessor; station 0 is unchanged."""
-    if len(contours) < 2:
+    Returns a new array; the input is never modified.
+    """
+    out = np.array(stations, dtype=np.float64)
+    if out.ndim != 3 or out.shape[2] != 3:
+        raise ValueError(f"stations must be (K, M, 3), got {out.shape}")
+    if len(out) < 2:
         raise ValueError("need at least 2 contours to align")
-    out = [contours[0]]
-    for c in contours[1:]:
-        out.append(align_adjacent(out[-1], c))
+    for i in range(1, len(out)):
+        k_star, _ = best_shift(out[i - 1], out[i])
+        out[i] = np.roll(out[i], -k_star, axis=0)
     return out

@@ -42,25 +42,15 @@ class Mask:
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed polyline; the last point implicitly connects to the first.
-
-    space is "plane-mm" for (M, 2) in-plane coordinates (along b, along n)
-    or "world-3d" for (M, 3) world points.
-    """
+    """Closed (M, 2) polyline in in-plane mm coordinates (along b, along n);
+    the last point implicitly connects to the first."""
 
     points: np.ndarray
-    space: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        if self.space == "plane-mm":
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ValueError(f"plane-mm contour must be (M, 2), got {pts.shape}")
-        elif self.space == "world-3d":
-            if pts.ndim != 2 or pts.shape[1] != 3:
-                raise ValueError(f"world-3d contour must be (M, 3), got {pts.shape}")
-        else:
-            raise ValueError(f"unknown contour space {self.space!r}")
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"contour must be (M, 2), got {pts.shape}")
         if len(pts) < _MIN_CONTOUR_POINTS:
             raise ValueError(
                 f"contour needs M >= {_MIN_CONTOUR_POINTS} points, got {len(pts)}"
@@ -164,7 +154,7 @@ def _moore_trace(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 def trace_boundary(mask: Mask, plane: SlicePlane) -> Contour:
-    """Outermost boundary of the mask as a CCW plane-mm contour.
+    """Outermost boundary of the mask as a CCW contour.
 
     Moore-neighbor tracing over pixel centers; the start point is the
     boundary pixel with lexicographically smallest (row, col).  Pixel
@@ -176,7 +166,7 @@ def trace_boundary(mask: Mask, plane: SlicePlane) -> Contour:
     pts = plane.pixel_to_plane(np.asarray(trace, dtype=np.float64))
     if len(pts) >= 3 and signed_area(pts) < 0:
         pts = np.vstack([pts[:1], pts[1:][::-1]])
-    return Contour(pts, "plane-mm")
+    return Contour(pts)
 
 
 def resample_contour(contour: Contour, m: int = 32) -> Contour:
@@ -186,8 +176,6 @@ def resample_contour(contour: Contour, m: int = 32) -> Contour:
     coordinate (the b axis), ties broken by lowest index; orientation is
     preserved.
     """
-    if contour.space != "plane-mm":
-        raise ValueError("resampling operates on plane-mm contours")
     if m < _MIN_CONTOUR_POINTS:
         raise ValueError(f"m must be at least {_MIN_CONTOUR_POINTS}")
     p = contour.points
@@ -205,4 +193,4 @@ def resample_contour(contour: Contour, m: int = 32) -> Contour:
     # a zero-length edge contributes its start vertex (t = 0)
     t = np.divide(s - cum[e], seg_len[e], out=np.zeros(m - 1), where=seg_len[e] > 0)
     out = np.vstack([p[seam], p[e] + t[:, None] * edges[e]])
-    return Contour(out, "plane-mm")
+    return Contour(out)

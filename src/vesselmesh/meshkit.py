@@ -8,12 +8,12 @@ oriented triangles and no boundary loops remain.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._mc_tables import EDGE_TABLE, TRI_TABLE
+from ._mc_tables import TRI_TABLE
 from .volume import Volume
 
 _DEGENERATE_AREA = 1e-12  # mm^2
@@ -88,15 +88,7 @@ class TopologyReport:
     self_intersection_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "watertight": self.watertight,
-            "manifold": self.manifold,
-            "boundary_loop_count": self.boundary_loop_count,
-            "non_manifold_edge_count": self.non_manifold_edge_count,
-            "euler_characteristic": self.euler_characteristic,
-            "consistent_orientation": self.consistent_orientation,
-            "self_intersection_count": self.self_intersection_count,
-        }
+        return asdict(self)
 
 
 def _edge_table(triangles: np.ndarray):
@@ -400,7 +392,9 @@ _CORNER_OFFSETS = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
-_EDGE_BITS = np.array(EDGE_TABLE, dtype=np.int64)[:, None] >> np.arange(12) & 1
+# (256, 12): edge e of case c is cut when its corners (a, b) lie on opposite
+# sides of the iso-level, ((c >> a) ^ (c >> b)) & 1
+_EDGE_BITS = np.bitwise_xor(*(np.arange(256)[:, None] >> np.array(_EDGE_CORNERS).T[:, None])) & 1
 # TRI_TABLE rows padded with -1 to one (256, 15) array
 _TRI_PAD = np.array([row + [-1] * (15 - len(row)) for row in TRI_TABLE], dtype=np.int64)
 _CORNER_XYZ = np.array(_CORNER_OFFSETS)[np.array(_EDGE_CORNERS)]  # (edge, end a/b, xyz)
@@ -551,12 +545,7 @@ class JunctionReport:
     residual_gap_mm: float
 
     def to_dict(self) -> dict:
-        return {
-            "removed_triangles": self.removed_triangles,
-            "bridged_loops": self.bridged_loops,
-            "max_bridge_length_mm": self.max_bridge_length_mm,
-            "residual_gap_mm": self.residual_gap_mm,
-        }
+        return asdict(self)
 
 
 def merge_branches(main: TriMesh, branch: TriMesh) -> tuple[TriMesh, JunctionReport]:

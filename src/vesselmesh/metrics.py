@@ -83,30 +83,25 @@ def _boundary_points_mm(mask: np.ndarray, spacing) -> np.ndarray:
     return zyx[:, ::-1] * sp[None, :]  # to (x, y, z) mm
 
 
-def asd(a, b, spacing) -> float:
-    """Average symmetric surface distance between two voxel masks, mm."""
+def _mask_boundaries(a, b, spacing, name: str):
+    """Boundary points (mm) of two voxel masks of one shape, both nonempty."""
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
         raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
     if not a.any() or not b.any():
-        raise ValueError("ASD requires both masks nonempty")
-    pa = _boundary_points_mm(a, spacing)
-    pb = _boundary_points_mm(b, spacing)
-    return 0.5 * (float(_nearest_dists(pa, pb).mean()) + float(_nearest_dists(pb, pa).mean()))
+        raise ValueError(f"{name} requires both masks nonempty")
+    return _boundary_points_mm(a, spacing), _boundary_points_mm(b, spacing)
+
+
+def asd(a, b, spacing) -> float:
+    """Average symmetric surface distance between two voxel masks, mm."""
+    return chamfer(*_mask_boundaries(a, b, spacing, "ASD"))
 
 
 def mask_hausdorff(a, b, spacing) -> float:
     """Hausdorff distance between mask boundaries, mm."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    if not a.any() or not b.any():
-        raise ValueError("mask Hausdorff requires both masks nonempty")
-    pa = _boundary_points_mm(a, spacing)
-    pb = _boundary_points_mm(b, spacing)
-    return max(float(_nearest_dists(pa, pb).max()), float(_nearest_dists(pb, pa).max()))
+    return hausdorff(*_mask_boundaries(a, b, spacing, "mask Hausdorff"))
 
 
 def area_uniform_samples(mesh, n: int, seed: int) -> np.ndarray:

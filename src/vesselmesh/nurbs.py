@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .meshkit import loft_rings
+
 _RESIDUAL_TOL = 1e-9
 _DOMAIN_TOL = 1e-12
 
@@ -396,7 +398,7 @@ def eval_surface_grid(surface: NurbsSurface, us, vs) -> np.ndarray:
 
 
 def skin_surface(contours, degree_u: int = 3, degree_v: int = 3) -> NurbsSurface:
-    """Skin a stack of aligned closed contours into a surface.
+    """Skin a (K, M, 3) stack of aligned closed contours into a surface.
 
     Stage 1 interpolates each contour with a periodic curve along v; stage 2
     interpolates corresponding control points across stations along u with
@@ -404,16 +406,14 @@ def skin_surface(contours, degree_u: int = 3, degree_v: int = 3) -> NurbsSurface
     input contour point.  For K stations of M points at cubic degrees the
     control net is (K + 2) x (M + 3).
     """
-    stacks = [np.asarray(getattr(c, "points", c), dtype=np.float64) for c in contours]
-    k = len(stacks)
+    pts = np.asarray(contours, dtype=np.float64)
+    if pts.ndim != 3 or pts.shape[2] != 3:
+        raise ValueError(f"contours must be a (K, M, 3) stack, got {pts.shape}")
+    k, m = pts.shape[:2]
     if k < 4:
         raise ValueError(f"need at least 4 contours to skin, got {k}")
-    m = len(stacks[0])
     if m < 8:
         raise ValueError(f"contours need at least 8 points, got {m}")
-    if any(s.shape != (m, 3) for s in stacks):
-        raise ValueError("contours must share the same point count")
-    pts = np.stack(stacks)  # (k, m, 3)
 
     # stage 1: periodic fit of every section in one solve
     knots_v, amat = _periodic_system(m, degree_v)
@@ -445,8 +445,6 @@ def tessellate(surface: NurbsSurface, nu: int, nv: int, caps: bool = True):
     With caps the two ends are closed by triangle fans and the mesh is
     watertight; triangle count is 2*(nu-1)*nv + 2*nv.
     """
-    from .meshkit import loft_rings
-
     if nu < 16 or nv < 16:
         raise ValueError("tessellation needs nu >= 16 and nv >= 16")
     ulo, uhi = surface.domain_u()

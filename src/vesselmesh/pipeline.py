@@ -192,7 +192,7 @@ def _slice_geometry(config: dict, out: Path):
         else:
             raise ValueError("slice.half_extent_mm is required for non-phantom volumes")
     n_pix = config["slice"]["n_pix"]
-    planes = slicer.planes_for_centerline(cl.frames(stations), float(half_extent), n_pix)
+    planes = [slicer.SlicePlane(fr, float(half_extent), n_pix) for fr in cl.frames(stations)]
     return vol, planes
 
 
@@ -216,6 +216,7 @@ def stage_segment(config: dict, out: Path) -> Path:
     path = out / "contours_raw.json"
     with _stage("segment"):
         vol, planes = _slice_geometry(config, out)
+        center = (config["slice"]["n_pix"] - 1) // 2
         stations = []
         for i, plane in enumerate(planes):
             slc = slicer.extract_slice(vol, plane)
@@ -226,14 +227,12 @@ def stage_segment(config: dict, out: Path) -> Path:
                         f"mask station_{i:03d}.pgm shape {mask_px.shape} does not "
                         f"match slice resolution {slc.pixels.shape}"
                     )
-                center = (plane.n_pix - 1) // 2
                 mask = lumenseg.Mask(mask_px, (center, center))
             else:
-                center = (plane.n_pix - 1) // 2
                 mask = lumenseg.segment_slice(slc, (center, center), threshold)
             traced = lumenseg.trace_boundary(mask, plane)
             resampled = lumenseg.resample_contour(traced, m)
-            lifted = slicer.lift_to_3d(resampled.points, plane)
+            lifted = plane.plane_to_world(resampled.points)
             stations.append(
                 {
                     "station_index": i,
@@ -250,16 +249,9 @@ def stage_segment(config: dict, out: Path) -> Path:
     return path
 
 
-def _station_contours(doc: dict) -> list[lumenseg.Contour]:
-    """The world-3d contour of every station of a parsed contour-set document."""
-    return [
-        lumenseg.Contour(np.asarray(st["points"], dtype=np.float64), "world-3d")
-        for st in doc["stations"]
-    ]
-
-
-def read_contour_set(path) -> list[lumenseg.Contour]:
-    return _station_contours(_read_json(path))
+def _stations(doc: dict) -> np.ndarray:
+    """The (K, M, 3) world-space contour stack of a parsed contour-set document."""
+    return np.array([st["points"] for st in doc["stations"]], dtype=np.float64)
 
 
 def stage_align(config: dict, out: Path) -> Path:
@@ -267,9 +259,9 @@ def stage_align(config: dict, out: Path) -> Path:
     path = out / "contours.json"
     with _stage("contours"):
         doc = _read_json(out / "contours_raw.json")
-        aligned = contour_align.align_chain(_station_contours(doc))
-        for st, contour in zip(doc["stations"], aligned):
-            st["points"] = contour.points.tolist()
+        aligned = contour_align.align_chain(_stations(doc))
+        for st, points in zip(doc["stations"], aligned):
+            st["points"] = points.tolist()
         _write_json(path, doc)
     return path
 
@@ -278,7 +270,7 @@ def stage_fit(config: dict, out: Path) -> Path:
     surf = resolve_config(config)["surface"]
     path = out / "surface.nurbs.json"
     with _stage("fit"):
-        aligned = read_contour_set(out / "contours.json")
+        aligned = _stations(_read_json(out / "contours.json"))
         surface = nurbs.skin_surface(aligned, degree_u=surf["degree_u"], degree_v=surf["degree_v"])
         nurbs.write_surface_json(surface, path)
     return path

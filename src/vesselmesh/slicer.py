@@ -50,6 +50,7 @@ class SlicePlane:
         return (ij - c) * self.pixel_spacing
 
     def plane_to_world(self, pts2d) -> np.ndarray:
+        """In-plane mm points to world space, R l + g; the result lies on the plane to round-off."""
         pts2d = np.atleast_2d(np.asarray(pts2d, dtype=np.float64))
         l = np.zeros((len(pts2d), 3))
         l[:, :2] = pts2d
@@ -88,21 +89,6 @@ def extract_slice(vol: Volume, plane: SlicePlane) -> Slice:
     )
     vals = sample_trilinear(vol, world)
     return Slice(plane, vals.reshape(n, n))
-
-
-def lift_to_3d(points2d, plane: SlicePlane) -> np.ndarray:
-    """Map in-plane mm contour points back to world space (R l + g).
-
-    The result lies exactly on the plane: dot(point - g, t) vanishes to
-    round-off.
-    """
-    return plane.plane_to_world(points2d)
-
-
-def planes_for_centerline(
-    frames, half_extent: float, n_pix: int
-) -> list[SlicePlane]:
-    return [SlicePlane(fr, half_extent, n_pix) for fr in frames]
 
 
 def write_pgm(slc: Slice, path) -> None:

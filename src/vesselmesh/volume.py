@@ -118,12 +118,8 @@ def sample_trilinear(vol: Volume, points, strict: bool = False):
     i0 = np.floor(q).astype(np.int64)
     i0 = np.minimum(i0, np.asarray([nx - 2, ny - 2, nz - 2], dtype=np.int64))
     i0 = np.maximum(i0, 0)
+    # on a one-voxel axis the clip and the max give i0 = 0 and f = 0: a plain lookup
     f = q - i0
-    # axes with a single voxel degenerate to nearest lookup
-    for ax, size in enumerate((nx, ny, nz)):
-        if size == 1:
-            i0[:, ax] = 0
-            f[:, ax] = 0.0
 
     x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
     x1 = np.minimum(x0 + 1, nx - 1)

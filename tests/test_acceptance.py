@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vesselmesh import (
-    cdm, centerline as cl, contours, lumenseg, meshkit, metrics, nurbs,
+    cdm, centerline as cl, contours, meshkit, metrics, nurbs,
     phantom, pipeline, slicer,
 )
 from vesselmesh.volume import Volume, load_raw, sample_trilinear, store_raw
@@ -112,13 +112,10 @@ def test_criterion_2_slicing_consistency():
 def test_criterion_3_nurbs_suite():
     t0 = time.perf_counter()
     theta = 2 * np.pi * np.arange(32) / 32
-    stacks = [
-        lumenseg.Contour(
-            np.column_stack([5 * np.cos(theta), 5 * np.sin(theta), np.full(32, z)]),
-            "world-3d",
-        )
+    stacks = np.stack([
+        np.column_stack([5 * np.cos(theta), 5 * np.sin(theta), np.full(32, z)])
         for z in np.linspace(0, 20, 8)
-    ]
+    ])
     surf = nurbs.skin_surface(stacks)
     m, n = surf.net_dims
     rng = np.random.default_rng(2)
@@ -356,8 +353,8 @@ def test_criterion_9_alignment_certification():
             ) + rng.normal(0, 0.15, (m, 3))
             truth.append(ring)
         stack = [truth[0]] + [np.roll(ring, int(rng.integers(0, m)), axis=0) for ring in truth[1:]]
-        aligned = contours.align_chain([lumenseg.Contour(s, "world-3d") for s in stack])
-        if all(np.array_equal(a.points, t) for a, t in zip(aligned, truth)):
+        aligned = contours.align_chain(stack)
+        if all(np.array_equal(a, t) for a, t in zip(aligned, truth)):
             recovered += 1
     assert recovered == 100
     elapsed = time.perf_counter() - t0
@@ -391,12 +388,10 @@ def test_criterion_10_format_round_trips(tmp_path):
 
     # NURBS surface JSON
     theta = 2 * np.pi * np.arange(16) / 16
-    stacks = [
-        lumenseg.Contour(
-            np.column_stack([4 * np.cos(theta), 4 * np.sin(theta), np.full(16, z)]),
-            "world-3d")
+    stacks = np.stack([
+        np.column_stack([4 * np.cos(theta), 4 * np.sin(theta), np.full(16, z)])
         for z in np.linspace(0, 10, 6)
-    ]
+    ])
     surf = nurbs.skin_surface(stacks)
     nurbs.write_surface_json(surf, tmp_path / "s.json")
     surf2 = nurbs.read_surface_json(tmp_path / "s.json")

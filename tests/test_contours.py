@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vesselmesh import contours, lumenseg, phantom
+from vesselmesh import contours, phantom
 
 
 def _ring(radius, m, phase=0.0, z=0.0, center=(0.0, 0.0)):
@@ -12,8 +12,8 @@ def _ring(radius, m, phase=0.0, z=0.0, center=(0.0, 0.0)):
     )
 
 
-def _contour(points):
-    return lumenseg.Contour(points, "world-3d")
+def _perimeter(points):
+    return float(np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1).sum())
 
 
 def test_exact_shift_recovered():
@@ -23,8 +23,8 @@ def test_exact_shift_recovered():
     k, cost = contours.best_shift(prev, nxt)
     assert k == 5
     assert cost <= 1e-20
-    aligned = contours.align_adjacent(_contour(prev), _contour(nxt))
-    assert np.array_equal(aligned.points, prev)
+    aligned = contours.align_chain([prev, nxt])
+    assert np.array_equal(aligned[1], prev)
 
 
 def test_concentric_phase_offset_closed_form():
@@ -84,24 +84,32 @@ def test_alignment_preserves_geometry():
     rng = np.random.default_rng(2)
     prev = _ring(5.0, 32) + rng.normal(0, 0.2, (32, 3))
     nxt = _ring(5.5, 32, phase=0.4, z=2.0) + rng.normal(0, 0.2, (32, 3))
-    aligned = contours.align_adjacent(_contour(prev), _contour(nxt))
-    assert sorted(map(tuple, aligned.points)) == sorted(map(tuple, nxt))
-    per_in = _contour(nxt).perimeter()
-    per_out = aligned.perimeter()
+    aligned = contours.align_chain([prev, nxt])
+    assert np.array_equal(aligned[0], prev)
+    assert sorted(map(tuple, aligned[1])) == sorted(map(tuple, nxt))
+    per_in = _perimeter(nxt)
+    per_out = _perimeter(aligned[1])
     assert per_out == pytest.approx(per_in, rel=1e-12)
 
 
 def test_mismatched_m_errors():
     with pytest.raises(ValueError):
-        contours.align_adjacent(_contour(_ring(5, 32)), _contour(_ring(5, 16)))
+        contours.align_chain([_ring(5, 32), _ring(5, 16)])
+
+
+def test_chain_rejects_bad_stacks():
+    with pytest.raises(ValueError, match=r"\(K, M, 3\)"):
+        contours.align_chain(np.zeros((4, 32, 2)))
+    with pytest.raises(ValueError, match="at least 2"):
+        contours.align_chain(_ring(5, 32)[None])
 
 
 def test_chain_identical_unchanged():
     ring = _ring(5.0, 32)
-    chain = [_contour(ring.copy()) for _ in range(6)]
+    chain = np.stack([ring] * 6)
     aligned = contours.align_chain(chain)
     for c in aligned:
-        assert np.array_equal(c.points, ring)
+        assert np.array_equal(c, ring)
 
 
 def test_chain_recovers_injected_shifts():
@@ -113,13 +121,16 @@ def test_chain_recovers_injected_shifts():
         base.append(ring)
         z += 2.0
     shifted = [base[0]] + [np.roll(r, int(rng.integers(0, 32)), axis=0) for r in base[1:]]
-    aligned = contours.align_chain([_contour(r) for r in shifted])
+    stack = np.stack(shifted)
+    before = stack.copy()
+    aligned = contours.align_chain(stack)
+    assert np.array_equal(stack, before)  # the input is never modified
     for got, want in zip(aligned, base):
-        assert np.abs(got.points - want).max() <= 1e-12
+        assert np.abs(got - want).max() <= 1e-12
     # total chain cost equals the unshifted chain's cost
     def chain_cost(cs):
         return sum(((a - b) ** 2).sum() for a, b in zip(cs[:-1], cs[1:]))
-    assert chain_cost([c.points for c in aligned]) == pytest.approx(chain_cost(base), rel=1e-12)
+    assert chain_cost(aligned) == pytest.approx(chain_cost(base), rel=1e-12)
 
 
 def test_arc_stack_alignment_improves_correspondence(arc_spec):
@@ -136,11 +147,11 @@ def test_arc_stack_alignment_improves_correspondence(arc_spec):
         slc = slicer.extract_slice(vol, plane)
         c = (plane.n_pix - 1) // 2
         contour = seg.resample_contour(seg.trace_boundary(seg.segment_slice(slc, (c, c)), plane), 32)
-        stack.append(slicer.lift_to_3d(contour.points, plane))
+        stack.append(plane.plane_to_world(contour.points))
     scrambled = [stack[0]] + [np.roll(s, int(rng.integers(1, 31)), axis=0) for s in stack[1:]]
 
     def mean_corresponding(cs):
         return np.mean([np.linalg.norm(a - b, axis=1).mean() for a, b in zip(cs[:-1], cs[1:])])
 
-    aligned = contours.align_chain([_contour(s) for s in scrambled])
-    assert mean_corresponding([c.points for c in aligned]) <= mean_corresponding(scrambled)
+    aligned = contours.align_chain(scrambled)
+    assert mean_corresponding(aligned) <= mean_corresponding(scrambled)

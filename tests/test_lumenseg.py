@@ -148,14 +148,14 @@ def test_trace_empty_mask_errors():
 
 def test_resample_default_is_32():
     theta = np.linspace(0, 2 * np.pi, 65)[:-1]
-    contour = lumenseg.Contour(np.column_stack([np.cos(theta), np.sin(theta)]), "plane-mm")
+    contour = lumenseg.Contour(np.column_stack([np.cos(theta), np.sin(theta)]))
     assert len(lumenseg.resample_contour(contour).points) == 32
 
 
 def test_resample_circle_uniform_gaps():
     r = 7.0
     theta = np.linspace(0, 2 * np.pi, 4097)[:-1]
-    contour = lumenseg.Contour(np.column_stack([r * np.cos(theta), r * np.sin(theta)]), "plane-mm")
+    contour = lumenseg.Contour(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
     out = lumenseg.resample_contour(contour, 32)
     gaps = np.linalg.norm(np.roll(out.points, -1, axis=0) - out.points, axis=1)
     # equal by symmetry; the common arc gap approaches 2 pi r / M as the
@@ -171,7 +171,7 @@ def test_resample_square_hand_walk():
         [[5.0, 0.0], [5.0, 5.0], [0.0, 5.0], [-5.0, 5.0], [-5.0, 0.0],
          [-5.0, -5.0], [0.0, -5.0], [5.0, -5.0]]
     )
-    contour = lumenseg.Contour(square, "plane-mm")
+    contour = lumenseg.Contour(square)
     out = lumenseg.resample_contour(contour, 8)
     gaps = np.linalg.norm(np.roll(out.points, -1, axis=0) - out.points, axis=1)
     assert np.abs(gaps - 5.0).max() <= 1e-9
@@ -182,14 +182,14 @@ def test_resample_square_hand_walk():
 def test_resample_idempotent_on_equilateral_outputs():
     r = 3.0
     theta = np.linspace(0, 2 * np.pi, 129)[:-1]
-    circle = lumenseg.Contour(np.column_stack([r * np.cos(theta), r * np.sin(theta)]), "plane-mm")
+    circle = lumenseg.Contour(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
     once = lumenseg.resample_contour(circle, 32)
     twice = lumenseg.resample_contour(once, 32)
     assert np.abs(twice.points - once.points).max() <= 1e-9
 
     square = lumenseg.Contour(
         np.array([[5.0, 0.0], [5.0, 5.0], [0.0, 5.0], [-5.0, 5.0], [-5.0, 0.0],
-                  [-5.0, -5.0], [0.0, -5.0], [5.0, -5.0]]), "plane-mm")
+                  [-5.0, -5.0], [0.0, -5.0], [5.0, -5.0]]))
     once = lumenseg.resample_contour(square, 8)
     twice = lumenseg.resample_contour(once, 8)
     assert np.abs(twice.points - once.points).max() <= 1e-9
@@ -212,11 +212,9 @@ def test_pipeline_circle_radial_deviation(straight_spec, straight_volume):
 
 def test_contour_invariants():
     with pytest.raises(ValueError):
-        lumenseg.Contour(np.zeros((4, 2)), "plane-mm")
+        lumenseg.Contour(np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        lumenseg.Contour(np.zeros((10, 3)), "plane-mm")
-    with pytest.raises(ValueError):
-        lumenseg.Contour(np.zeros((10, 2)), "nowhere")
+        lumenseg.Contour(np.zeros((10, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +322,7 @@ def test_resample_matches_loop_bytes():
     zero_edges = 0
     for pts, m in _resample_cases():
         zero_edges += int((np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) == 0).sum())
-        contour = lumenseg.Contour(pts, "plane-mm")
+        contour = lumenseg.Contour(pts)
         got = lumenseg.resample_contour(contour, m).points
         assert got.tobytes() == _loop_resample(contour, m).tobytes()
     assert zero_edges > 1000

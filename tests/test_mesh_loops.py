@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vesselmesh import meshkit, phantom
-from vesselmesh._mc_tables import EDGE_TABLE, TRI_TABLE
+from vesselmesh._mc_tables import TRI_TABLE
 from vesselmesh.volume import Volume
 
 
@@ -62,10 +62,10 @@ def _ref_marching_cubes(vol: Volume, iso: float = 0.5) -> meshkit.TriMesh:
 
     for zc, yc, xc in active:
         case = int(ci[zc, yc, xc])
-        emask = EDGE_TABLE[case]
         local = {}
         for e in range(12):
-            if not (emask >> e) & 1:
+            ca, cb = _EDGE_CORNERS[e]
+            if not ((case >> ca) ^ (case >> cb)) & 1:  # both corners on one side
                 continue
             ax, ox, oy, oz = _EDGE_KEYS[e]
             key = (ax, xc + ox, yc + oy, zc + oz)
@@ -257,6 +257,13 @@ def test_marching_cubes_matches_dict_weld_on_every_single_cell_case(on_level):
     for case in range(1, 255):
         vol = _single_cell(case, on_level)
         _assert_same_mesh(meshkit.marching_cubes(vol), _ref_marching_cubes(vol))
+
+
+def test_cut_edges_are_the_edges_each_case_triangulates():
+    # the corner-bit edge mask cuts exactly the edges TRI_TABLE uses, in all 256 cases
+    for case in range(256):
+        cut = set(np.flatnonzero(meshkit._EDGE_BITS[case]).tolist())
+        assert cut == set(TRI_TABLE[case]), case
 
 
 @pytest.mark.parametrize("shape", phantom.SHAPES)

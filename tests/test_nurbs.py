@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vesselmesh import lumenseg, meshkit, nurbs
+from vesselmesh import meshkit, nurbs
 
 
 def _naive_basis(knots, degree, i, u):
@@ -28,8 +28,8 @@ def _circle_contours(radius, m, zs):
         pts = np.column_stack(
             [radius * np.cos(theta), radius * np.sin(theta), np.full(m, z)]
         )
-        out.append(lumenseg.Contour(pts, "world-3d"))
-    return out
+        out.append(pts)
+    return np.stack(out)
 
 
 def test_degree1_hat_functions():
@@ -153,17 +153,29 @@ def test_skin_interpolates_contour_points():
     for z in zs:
         r = 4.0 + rng.uniform(-0.5, 0.5, 16)
         pts = np.column_stack([r * np.cos(theta), r * np.sin(theta), np.full(16, z)])
-        stacks.append(lumenseg.Contour(pts, "world-3d"))
+        stacks.append(pts)
     surf = nurbs.skin_surface(stacks)
     # u parameters reproduce the averaged centripetal parameterization
-    all_pts = np.stack([c.points for c in stacks])
+    all_pts = np.stack(stacks)
     t_cols = np.stack([nurbs.chord_parameters(all_pts[:, j, :], True) for j in range(16)])
     t_bar = t_cols.mean(axis=0)
     t_bar[0], t_bar[-1] = 0.0, 1.0
     for i, contour in enumerate(stacks):
-        for j, p in enumerate(contour.points):
+        for j, p in enumerate(contour):
             got = nurbs.eval_surface(surf, t_bar[i], j / 16)
             assert np.linalg.norm(got - p) <= 1e-7
+
+
+def test_skin_rejects_bad_stacks():
+    stacks = _circle_contours(5.0, 16, np.linspace(0, 10, 5))
+    with pytest.raises(ValueError, match=r"\(K, M, 3\)"):
+        nurbs.skin_surface(stacks[:, :, :2])
+    with pytest.raises(ValueError, match="at least 4 contours"):
+        nurbs.skin_surface(stacks[:3])
+    with pytest.raises(ValueError, match="at least 8 points"):
+        nurbs.skin_surface(stacks[:, :7])
+    with pytest.raises(ValueError):
+        nurbs.skin_surface([stacks[0], stacks[1], stacks[2], stacks[3, :8]])
 
 
 def test_skin_dimensions_16_stations_32_points():
@@ -327,7 +339,7 @@ def test_knot_vector_style_invariants():
 
 def test_skin_batched_solve_matches_per_column_solves():
     rng = np.random.default_rng(4)
-    stacks = [c.points + rng.normal(scale=0.2, size=c.points.shape)
+    stacks = [c + rng.normal(scale=0.2, size=c.shape)
               for c in _circle_contours(5.0, 24, np.linspace(0, 30, 11))]
     surf = nurbs.skin_surface(stacks)
     pts = np.stack(stacks)

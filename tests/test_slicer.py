@@ -70,7 +70,7 @@ def test_tube_cross_section_disk_area(straight_spec, straight_volume):
 def test_lift_origin_is_anchor():
     anchor = np.array([1.0, 2.0, 3.0])
     plane = slicer.SlicePlane(_frame([0, 0, 1], [1, 0, 0], anchor), half_extent=2.0, n_pix=16)
-    lifted = slicer.lift_to_3d(np.array([[0.0, 0.0]]), plane)
+    lifted = plane.plane_to_world(np.array([[0.0, 0.0]]))
     assert np.array_equal(lifted[0], anchor)
 
 
@@ -98,7 +98,7 @@ def test_lift_preserves_distances():
     theta = np.linspace(0, 2 * np.pi, 33)[:-1]
     r = 1.7
     circle = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    lifted = slicer.lift_to_3d(circle, plane)
+    lifted = plane.plane_to_world(circle)
     d = np.linalg.norm(lifted - plane.frame.anchor, axis=1)
     assert np.abs(d - r).max() <= 1e-9
 
@@ -110,7 +110,7 @@ def test_slice_lift_resample_consistency(straight_spec, straight_volume):
     slc = slicer.extract_slice(straight_volume, plane)
     ij = np.array([[3, 5], [10, 20], [31, 31], [16, 0]])
     plane_mm = plane.pixel_to_plane(ij.astype(float))
-    world = slicer.lift_to_3d(plane_mm, plane)
+    world = plane.plane_to_world(plane_mm)
     resampled = sample_trilinear(straight_volume, world)
     assert np.abs(resampled - slc.pixels[ij[:, 0], ij[:, 1]]).max() <= 1e-12
 

@@ -61,6 +61,24 @@ def test_clamp_matches_boundary_projection():
     assert np.array_equal(sample_trilinear(vol, outside), sample_trilinear(vol, projected))
 
 
+@pytest.mark.parametrize("dims", [(1, 4, 5), (3, 1, 4), (4, 5, 1), (1, 1, 3), (1, 1, 1)])
+def test_one_voxel_axes(dims):
+    # (nx, ny, nz) with one-voxel axes: voxel centers return the stored value
+    # exactly, and anywhere else the samples equal those of the volume with
+    # every one-voxel axis doubled, at the point projected onto the box
+    rng = np.random.default_rng(sum(dims))
+    data = rng.random(dims[::-1]).astype(np.float32)
+    vol = Volume(data, (0.7, 0.8, 0.9), (-1.0, 2.0, 0.5))
+    for idx in np.ndindex(*dims):
+        assert sample_trilinear(vol, vol.index_to_world(idx)) == data[idx[2], idx[1], idx[0]]
+    doubled = np.ascontiguousarray(np.broadcast_to(data, tuple(max(n, 2) for n in data.shape)))
+    doubled = Volume(doubled, vol.spacing, vol.origin)
+    pts = rng.uniform(-3.0, 8.0, size=(2000, 3))
+    lo, hi = vol.bounds()
+    want = sample_trilinear(doubled, np.clip(pts, lo, hi))
+    assert np.abs(sample_trilinear(vol, pts) - want).max() <= 1e-12
+
+
 def test_strict_mode_raises_outside():
     vol = Volume(np.zeros((3, 3, 3), dtype=np.float32), (1, 1, 1), (0, 0, 0))
     assert sample_trilinear(vol, (1.0, 1.0, 1.0), strict=True) == 0.0
