@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .centerline import decode_image, encode_image
-from .volume import Volume, sample_trilinear
+from .volume import Volume, _trilinear
 
 _REFERENCE_T = 1000  # step count at which the canonical beta range applies
 
@@ -69,15 +69,20 @@ class NoiseSchedule:
         return NoiseSchedule(timesteps, 1e-4 * scale, 0.02 * scale)
 
 
-def forward_noise(ci0, t: int, eps, sched: NoiseSchedule):
-    """Closed-form noising: sqrt(abar_t) ci0 + sqrt(1 - abar_t) eps; t=0 is identity."""
-    if not (0 <= t <= sched.timesteps):
+def forward_noise(ci0, t, eps, sched: NoiseSchedule):
+    """Closed-form noising: sqrt(abar_t) ci0 + sqrt(1 - abar_t) eps; t=0 is identity.
+
+    ``t`` is one step for a (k, 3) image, or one step per image of a
+    (B, k, 3) batch.
+    """
+    t = np.asarray(t)
+    if ((t < 0) | (t > sched.timesteps)).any():
         raise ValueError(f"t={t} outside [0, {sched.timesteps}]")
     ci0 = np.asarray(ci0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != ci0.shape:
         raise ValueError("noise must match the centerline image shape")
-    ab = sched.alpha_bars[t]
+    ab = sched.alpha_bars[t][..., None, None]
     return np.sqrt(ab) * ci0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -89,22 +94,34 @@ class VolumeFeatureEncoder:
 
     def __init__(self, vol: Volume):
         self.vol = vol
-        sp = np.asarray(vol.spacing, dtype=np.float64)
         patch = np.array([(i, j, k) for k in (-1, 0, 1) for j in (-1, 0, 1) for i in (-1, 0, 1)])
         grad = np.vstack([np.eye(3), -np.eye(3)])
         # one fused lookup: 27 patch offsets then +x +y +z -x -y -z steps
-        self._offsets = np.vstack([patch, grad]) * sp[None, :]
-        self._grad_step = sp
+        self._offsets = np.vstack([patch, grad]) * np.asarray(vol.spacing)[None, :]
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n = len(pts)
-        query = (pts[:, None, :] + self._offsets[None, :, :]).reshape(-1, 3)
-        vals = sample_trilinear(self.vol, query).reshape(n, 33)
-        patch = vals[:, :27]
-        intensity = patch[:, 13]  # center offset (0,0,0)
-        grad = (vals[:, 27:30] - vals[:, 30:33]) / (2.0 * self._grad_step[None, :])
-        return np.column_stack([intensity, grad, patch.mean(axis=1)])
+        return _encode_features([self], pts[None])[0]
+
+
+def _encode_features(encoders, points) -> np.ndarray:
+    """Features of a batch of point sets (B, n, 3), row b in ``encoders[b]``'s
+    volume: all B * n * 33 lookups in one trilinear pass.  Returns (B, n, 5)."""
+    b, n = points.shape[:2]
+    vols = [enc.vol for enc in encoders]
+    offsets = np.stack([enc._offsets for enc in encoders])
+    origin = np.array([vol.origin for vol in vols])[:, None]
+    spacing = np.array([vol.spacing for vol in vols])[:, None]
+    dims = np.array([vol.dims for vol in vols])[:, None]
+    query = (points[:, :, None, :] + offsets[:, None, :, :]).reshape(b, n * 33, 3)
+    if not np.isfinite(query).all():
+        raise ValueError("non-finite sample point")
+    q = (query - origin) / spacing
+    vals = _trilinear([vol.data for vol in vols], q, dims).reshape(b, n, 33)
+    patch = vals[..., :27]
+    intensity = patch[..., 13:14]  # center offset (0,0,0)
+    grad = (vals[..., 27:30] - vals[..., 30:33]) / (2.0 * spacing)
+    return np.concatenate([intensity, grad, patch.mean(axis=-1, keepdims=True)], axis=-1)
 
 
 def time_embedding(t, dim: int = 16) -> np.ndarray:
@@ -234,29 +251,45 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.iterations < 1:
             raise ValueError("train config rates and counts must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"Adam betas must lie in [0, 1), got beta1={self.beta1}, beta2={self.beta2}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+
+
+def _common_k(pairs, denoiser=None) -> int:
+    """The point count k shared by every pair's centerline and the denoiser."""
+    ks = sorted({pair.ci0.shape[0] for pair in pairs})
+    if len(ks) > 1:
+        raise ValueError(f"centerlines of different point counts together: k={ks}")
+    k = ks[0]
+    if denoiser is not None and denoiser.k_points != k:
+        raise ValueError(f"denoiser takes k={denoiser.k_points} points, the centerlines have k={k}")
+    return k
 
 
 def loss_and_grads(pairs, denoiser, sched: NoiseSchedule, rng) -> tuple[float, np.ndarray | None]:
     """Mean squared noise-prediction error over a batch.
 
     Per sample, t ~ U{1..T} and eps ~ N(0, I); the conditioning features
-    are looked up at the noisy points' denormalized world positions.  For
-    the MLP denoiser the analytic gradient is returned, laid out like
-    ``denoiser.flat``; for predict-only denoisers (oracles) it is None.
+    are looked up at the noisy points' denormalized world positions, for
+    the whole batch in one pass.  For the MLP denoiser the analytic
+    gradient is returned, laid out like ``denoiser.flat``; for predict-only
+    denoisers (oracles) it is None.
     """
     if not pairs:
         raise ValueError("empty batch")
     b = len(pairs)
-    k = pairs[0].ci0.shape[0]
+    k = _common_k(pairs, denoiser)
     ts = np.empty(b, dtype=np.int64)
     eps = np.empty((b, k, 3))
-    ci_t = np.empty((b, k, 3))
-    for i, pair in enumerate(pairs):
+    for i in range(b):
         ts[i] = rng.integers(1, sched.timesteps + 1)
         eps[i] = rng.standard_normal((k, 3))
-        ci_t[i] = forward_noise(pair.ci0, ts[i], eps[i], sched)
-    feats = [pair.encoder(decode_image(c, pair.bounds_lo, pair.bounds_hi))
-             for pair, c in zip(pairs, ci_t)]
+    ci_t = forward_noise(np.stack([pair.ci0 for pair in pairs]), ts, eps, sched)
+    lo = np.stack([pair.bounds_lo for pair in pairs])[:, None]
+    hi = np.stack([pair.bounds_hi for pair in pairs])[:, None]
+    feats = _encode_features([pair.encoder for pair in pairs], decode_image(ci_t, lo, hi))
     targets = eps.reshape(b, k * 3)
 
     if not isinstance(denoiser, MlpDenoiser):
@@ -282,18 +315,21 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
     """Adam-style optimization of the denoiser; deterministic for a seed.
 
     Returns (denoiser, curve) where curve rows are (iteration, loss,
-    smoothed loss over the trailing 100 iterations).  Aborts when the loss
-    stays above 10x its initial value for 500 consecutive iterations.
+    smoothed loss over the trailing 100 iterations).  Aborts at the first
+    non-finite loss, and when the loss stays above 10x its initial value
+    for 500 consecutive iterations.
     """
     if len(dataset) < 1:
         raise ValueError("empty dataset")
-    k = dataset[0].ci0.shape[0]
+    k = _common_k(dataset, denoiser)
     if denoiser is None:
         denoiser = MlpDenoiser(k, VolumeFeatureEncoder.n_features, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
     m = np.zeros_like(denoiser.flat)
     v = np.zeros_like(denoiser.flat)
+    step = np.empty_like(denoiser.flat)
+    scale = np.empty_like(denoiser.flat)
     curve = []
     recent = []
     initial_loss = None
@@ -302,6 +338,8 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
         idx = rng.integers(0, len(dataset), size=cfg.batch_size)
         batch = [dataset[i] for i in idx]
         loss, g = loss_and_grads(batch, denoiser, sched, rng)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"loss became {loss} at iteration {it}")
         if initial_loss is None:
             initial_loss = loss
         bad_streak = bad_streak + 1 if loss > 10.0 * initial_loss else 0
@@ -310,11 +348,23 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
                 f"loss {loss:.4g} stayed above 10x initial ({initial_loss:.4g}) "
                 f"for 500 iterations (at iteration {it})"
             )
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        mhat = m / (1 - cfg.beta1 ** it)
-        vhat = v / (1 - cfg.beta2 ** it)
-        denoiser.flat -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+        # Adam in place through two scratch buffers; every operation keeps the
+        # operands and order of m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+        # flat -= (lr mhat) / (sqrt(vhat) + eps), which checkpoints are pinned to
+        m *= cfg.beta1
+        np.multiply(g, 1 - cfg.beta1, out=step)
+        m += step
+        v *= cfg.beta2
+        np.multiply(g, 1 - cfg.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(v, 1 - cfg.beta2 ** it, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += cfg.adam_eps
+        np.divide(m, 1 - cfg.beta1 ** it, out=step)
+        step *= cfg.learning_rate
+        step /= scale
+        denoiser.flat -= step
         recent.append(loss)
         if len(recent) > 100:
             recent.pop(0)

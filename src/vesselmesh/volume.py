@@ -81,6 +81,10 @@ def from_flat(flat, dims, spacing, origin) -> Volume:
     return Volume(flat.reshape(nz, ny, nx), tuple(spacing), tuple(origin))
 
 
+# (x, y, z) offsets of a cell's 8 corners, x fastest: the order of the sum in _trilinear
+_CORNERS = np.array([(x, y, z) for z in (0, 1) for y in (0, 1) for x in (0, 1)])
+
+
 def sample_trilinear(vol: Volume, points, strict: bool = False):
     """Trilinearly interpolate the volume at world points.
 
@@ -108,38 +112,48 @@ def sample_trilinear(vol: Volume, points, strict: bool = False):
         raise ValueError("non-finite sample point")
 
     q = vol.world_to_index(pts)
-    nx, ny, nz = vol.dims
-    n = np.array([nx, ny, nz], dtype=np.float64)
+    dims = np.array(vol.dims, dtype=np.int64)
     if strict:
-        if (q < -1e-12).any() or (q > n - 1 + 1e-12).any():
+        if (q < -1e-12).any() or (q > dims - 1 + 1e-12).any():
             raise ValueError("sample point outside volume bounds in strict mode")
-    q = np.clip(q, 0.0, n - 1.0)
-
-    i0 = np.floor(q).astype(np.int64)
-    i0 = np.minimum(i0, np.asarray([nx - 2, ny - 2, nz - 2], dtype=np.int64))
-    i0 = np.maximum(i0, 0)
-    # on a one-voxel axis the clip and the max give i0 = 0 and f = 0: a plain lookup
-    f = q - i0
-
-    x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-
-    d = vol.data
-    c = (
-        d[z0, y0, x0] * (gx * gy * gz)
-        + d[z0, y0, x1] * (fx * gy * gz)
-        + d[z0, y1, x0] * (gx * fy * gz)
-        + d[z0, y1, x1] * (fx * fy * gz)
-        + d[z1, y0, x0] * (gx * gy * fz)
-        + d[z1, y0, x1] * (fx * gy * fz)
-        + d[z1, y1, x0] * (gx * fy * fz)
-        + d[z1, y1, x1] * (fx * fy * fz)
-    )
+    c = _trilinear([vol.data], q[None], dims[None, None])[0]
     return float(c[0]) if single else c
+
+
+def _trilinear(datas, q, dims) -> np.ndarray:
+    """Clamp-to-edge trilinear interpolation at continuous voxel indices.
+
+    Row b of ``q`` (B, N, 3) holds index coordinates (x, y, z) into
+    ``datas[b]``, a (nz, ny, nx) array; ``dims`` (B, 1, 3) holds each row's
+    (nx, ny, nz).  The eight corners of a point are gathered with one
+    ``take`` per row on the x-fastest flat index.  Returns (B, N) float64.
+    """
+    q = np.clip(q, 0.0, dims - 1.0)
+    i0 = np.floor(q).astype(np.int64)
+    i0 = np.minimum(i0, dims - 2)
+    i0 = np.maximum(i0, 0)
+    f = q - i0
+    # flat index steps (1, nx, nx * ny) per axis, 0 on a one-voxel axis, where
+    # the clip and the max give i0 = 0 and f = 0: a plain lookup
+    nx = dims[..., :1]
+    step = (dims > 1) * np.concatenate([np.ones_like(nx), nx, nx * dims[..., 1:2]], axis=-1)
+    step = step.swapaxes(1, 2)
+    idx = (i0 @ step).swapaxes(1, 2) + _CORNERS @ step
+    d = np.stack([data.take(rows) for data, rows in zip(datas, idx)], axis=1)
+
+    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    gg, fg, gf, ff = gx * gy, fx * gy, gx * fy, fx * fy
+    return (
+        d[0] * (gg * gz)
+        + d[1] * (fg * gz)
+        + d[2] * (gf * gz)
+        + d[3] * (ff * gz)
+        + d[4] * (gg * fz)
+        + d[5] * (fg * fz)
+        + d[6] * (gf * fz)
+        + d[7] * (ff * fz)
+    )
 
 
 def normalize(vol: Volume) -> Volume:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vesselmesh import cdm, centerline as cl, phantom
-from vesselmesh.volume import sample_trilinear
+from vesselmesh.volume import Volume, sample_trilinear
 
 _PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -145,6 +145,96 @@ def test_train_divergence_aborts(sched, single_pair):
     cfg = cdm.TrainConfig(learning_rate=50.0, iterations=1200, seed=0)
     with pytest.raises(cdm.TrainingDiverged):
         cdm.train([single_pair], cfg, sched)
+
+
+@pytest.mark.parametrize("bad", [{"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0},
+                                 {"beta2": 1.5}, {"adam_eps": 0.0}, {"adam_eps": -1e-8}])
+def test_train_config_rejects_adam_settings_that_give_nan(bad):
+    with pytest.raises(ValueError, match="beta|adam_eps"):
+        cdm.TrainConfig(**bad)
+
+
+def test_train_stops_at_first_non_finite_loss(sched, single_pair):
+    # the first step moves every weight by about the learning rate, so the
+    # second loss overflows; the 500-iteration streak test alone would let
+    # NaN parameters run on
+    cfg = cdm.TrainConfig(learning_rate=1e300, iterations=1000, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(cdm.TrainingDiverged, match="at iteration 2$"):
+        cdm.train([single_pair], cfg, sched)
+
+
+def test_batch_of_mixed_k_fails_before_any_draw(sched, small_spec, small_volume, single_pair):
+    other = cdm.TrainingPair.from_volume(small_volume, phantom.analytic_centerline(small_spec, 8))
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"k=\[8, 16\]"):
+        cdm.loss_and_grads([single_pair, other], cdm.OracleDenoiser(single_pair.ci0, sched), sched, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match=r"k=\[8, 16\]"):
+        cdm.train([single_pair, other], cdm.TrainConfig(iterations=5), sched)
+
+
+def test_denoiser_of_other_k_fails_before_any_draw(sched, single_pair):
+    den = cdm.MlpDenoiser(8, 5, hidden=16, seed=0)
+    rng = np.random.default_rng(14)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="k=8 .* k=16"):
+        cdm.loss_and_grads([single_pair], den, sched, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="k=8 .* k=16"):
+        cdm.train([single_pair], cdm.TrainConfig(iterations=5), sched, denoiser=den)
+
+
+class _Recorder:
+    """Predict-only denoiser that keeps the images and features it is given."""
+
+    def __init__(self, k):
+        self.k_points = k
+        self.seen = []
+
+    def predict(self, ci_t, t, features):
+        self.seen.append((ci_t, features))
+        return np.zeros_like(ci_t)
+
+
+def _reference_features(vol, pts):
+    """The per-pair encoder body before batching, on sample_trilinear."""
+    sp = np.asarray(vol.spacing, dtype=np.float64)
+    patch = np.array([(i, j, k) for k in (-1, 0, 1) for j in (-1, 0, 1) for i in (-1, 0, 1)])
+    offsets = np.vstack([patch, np.eye(3), -np.eye(3)]) * sp[None, :]
+    query = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
+    vals = sample_trilinear(vol, query).reshape(len(pts), 33)
+    grad = (vals[:, 27:30] - vals[:, 30:33]) / (2.0 * sp[None, :])
+    return np.column_stack([vals[:, 13], grad, vals[:, :27].mean(axis=1)])
+
+
+def test_batch_features_match_per_pair_lookups(sched):
+    # one batch over volumes of different dims (one with a one-voxel axis),
+    # spacing and origin, with a repeated volume, and bounds wider than every
+    # volume so that noisy points fall outside and clamp
+    rng = np.random.default_rng(30)
+    geometry = [((12, 9, 7), (0.7, 1.1, 0.9), (-4.0, 2.0, 1.5)),
+                ((1, 8, 6), (1.0, 0.6, 1.3), (3.0, -1.0, 0.0)),
+                ((10, 10, 10), (0.5, 0.5, 0.5), (0.0, 0.0, -2.0))]
+    pairs = []
+    for (nx, ny, nz), spacing, origin in geometry:
+        vol = Volume(rng.random((nz, ny, nx)).astype(np.float32), spacing, origin)
+        lo, hi = vol.bounds()
+        pairs.append(cdm.TrainingPair(rng.uniform(-1.0, 1.0, (6, 3)),
+                                      cdm.VolumeFeatureEncoder(vol), lo - 1.0, hi + 1.0))
+    batch = [pairs[0], pairs[1], pairs[2], pairs[0], pairs[1], pairs[1]]
+    rec = _Recorder(6)
+    cdm.loss_and_grads(batch, rec, sched, np.random.default_rng(31))
+    assert len(rec.seen) == len(batch)
+    outside = 0
+    for pair, (ci_t, feats) in zip(batch, rec.seen):
+        pos = cl.decode_image(ci_t, pair.bounds_lo, pair.bounds_hi)
+        lo, hi = pair.encoder.vol.bounds()
+        outside += int(((pos < lo) | (pos > hi)).any(axis=1).sum())
+        assert feats.tobytes() == pair.encoder(pos).tobytes()
+        assert feats.tobytes() == _reference_features(pair.encoder.vol, pos).tobytes()
+    assert outside > 0
 
 
 def test_sampling_deterministic(sched, single_pair, small_volume):

@@ -168,3 +168,43 @@ def test_volume_invariants_enforced():
         Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 0, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         from_flat(np.zeros(7), (2, 2, 2), (1, 1, 1), (0, 0, 0))
+
+
+def _indexed_trilinear(vol, pts):
+    """The earlier sampler body, kept as the reference: clip, floor and
+    clamp, then eight fancy-index gathers data[z, y, x] summed in order."""
+    q = vol.world_to_index(pts)
+    nx, ny, nz = vol.dims
+    n = np.array([nx, ny, nz], dtype=np.float64)
+    q = np.clip(q, 0.0, n - 1.0)
+    i0 = np.floor(q).astype(np.int64)
+    i0 = np.minimum(i0, np.asarray([nx - 2, ny - 2, nz - 2], dtype=np.int64))
+    i0 = np.maximum(i0, 0)
+    f = q - i0
+    x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
+    x1 = np.minimum(x0 + 1, nx - 1)
+    y1 = np.minimum(y0 + 1, ny - 1)
+    z1 = np.minimum(z0 + 1, nz - 1)
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    d = vol.data
+    return (
+        d[z0, y0, x0] * (gx * gy * gz)
+        + d[z0, y0, x1] * (fx * gy * gz)
+        + d[z0, y1, x0] * (gx * fy * gz)
+        + d[z0, y1, x1] * (fx * fy * gz)
+        + d[z1, y0, x0] * (gx * gy * fz)
+        + d[z1, y0, x1] * (fx * gy * fz)
+        + d[z1, y1, x0] * (gx * fy * fz)
+        + d[z1, y1, x1] * (fx * fy * fz)
+    )
+
+
+@pytest.mark.parametrize("dims", [(9, 7, 5), (2, 2, 2), (1, 6, 4), (5, 1, 1), (1, 1, 1)])
+def test_flat_index_gather_matches_indexed_gather(dims):
+    # same bits as the per-axis fancy-index gather, inside and outside the box
+    rng = np.random.default_rng(7 + sum(dims))
+    vol = Volume(rng.random(dims[::-1]).astype(np.float32), (0.6, 1.3, 0.8), (2.0, -1.0, 0.5))
+    lo, hi = vol.bounds()
+    pts = rng.uniform(lo - 2.0, hi + 2.0, size=(3000, 3))
+    assert sample_trilinear(vol, pts).tobytes() == _indexed_trilinear(vol, pts).tobytes()
