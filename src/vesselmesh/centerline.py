@@ -1,4 +1,4 @@
-"""Centerline containers, smoothing, tangents, and rotation-stable local frames.
+"""Centerline validation, smoothing, tangents, and rotation-stable local frames.
 
 A centerline is an ordered (k, 3) array of world points in mm, k >= 4, with
 consecutive points distinct.  Frames are rotation minimizing (double
@@ -8,7 +8,6 @@ would introduce before surface skinning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,25 +28,6 @@ def validate_centerline(points) -> np.ndarray:
     if (seg == 0).any():
         raise ValueError("consecutive centerline points must be distinct")
     return pts
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Orthonormal (t, n, b) triple anchored at a centerline point.
-
-    The rotation matrix ``r`` has columns (b, n, t) and determinant +1,
-    mapping in-plane coordinates (along b, along n, along t) to world
-    offsets.
-    """
-
-    t: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-    anchor: np.ndarray
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.column_stack([self.b, self.n, self.t])
 
 
 def tangents(points) -> np.ndarray:
@@ -82,8 +62,13 @@ def _preferred_normal(t0: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def frames(points) -> list[LocalFrame]:
-    """Rotation-minimizing frames along the centerline (double reflection)."""
+def frames(points) -> np.ndarray:
+    """Rotation-minimizing frames along the centerline (double reflection).
+
+    Returns the (k, 3, 3) rotation stack: station i's matrix has columns
+    (b, n, t) and determinant +1, and maps in-plane coordinates (along b,
+    along n, along t) to world offsets from the centerline point.
+    """
     pts = validate_centerline(points)
     ts = tangents(pts)
     k = len(pts)
@@ -103,11 +88,7 @@ def frames(points) -> list[LocalFrame]:
         # re-orthogonalize against accumulated round-off
         ns[i + 1] -= np.dot(ns[i + 1], ts[i + 1]) * ts[i + 1]
         ns[i + 1] /= np.linalg.norm(ns[i + 1])
-    out = []
-    for i in range(k):
-        b = np.cross(ns[i], ts[i])
-        out.append(LocalFrame(t=ts[i], n=ns[i], b=b, anchor=pts[i]))
-    return out
+    return np.stack([np.cross(ns, ts), ns, ts], axis=2)
 
 
 # ---------------------------------------------------------------------------

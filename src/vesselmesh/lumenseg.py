@@ -10,12 +10,8 @@ with no loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
-
-from .slicer import Slice, SlicePlane
 
 _MIN_CONTOUR_POINTS = 8
 _PROMPT_SEARCH_RADIUS = 5  # pixels
@@ -25,41 +21,16 @@ class SegmentationFailed(RuntimeError):
     """No above-threshold pixel reachable from the prompt."""
 
 
-@dataclass(frozen=True)
-class Mask:
-    pixels: np.ndarray  # (n, n) bool
-    prompt: tuple[int, int]
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=bool)
-        object.__setattr__(self, "pixels", px)
-        object.__setattr__(self, "prompt", (int(self.prompt[0]), int(self.prompt[1])))
-
-    @property
-    def area_pixels(self) -> int:
-        return int(self.pixels.sum())
-
-
-@dataclass(frozen=True)
-class Contour:
-    """Closed (M, 2) polyline in in-plane mm coordinates (along b, along n);
-    the last point implicitly connects to the first."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"contour must be (M, 2), got {pts.shape}")
-        if len(pts) < _MIN_CONTOUR_POINTS:
-            raise ValueError(
-                f"contour needs M >= {_MIN_CONTOUR_POINTS} points, got {len(pts)}"
-            )
-        object.__setattr__(self, "points", pts)
-
-    def perimeter(self) -> float:
-        rolled = np.roll(self.points, -1, axis=0)
-        return float(np.linalg.norm(rolled - self.points, axis=1).sum())
+def _check_contour(pts: np.ndarray) -> np.ndarray:
+    """A closed (M, 2) in-plane polyline in mm (along b, along n), M >= 8; the
+    last point implicitly connects to the first."""
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"contour must be (M, 2), got {pts.shape}")
+    if len(pts) < _MIN_CONTOUR_POINTS:
+        raise ValueError(
+            f"contour needs M >= {_MIN_CONTOUR_POINTS} points, got {len(pts)}"
+        )
+    return pts
 
 
 def signed_area(points2d) -> float:
@@ -68,8 +39,12 @@ def signed_area(points2d) -> float:
     return float(0.5 * np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
 
 
-def segment_slice(slc: Slice, prompt_pixel, threshold: float = 0.5) -> Mask:
+def segment_slice(
+    pixels: np.ndarray, prompt_pixel, threshold: float = 0.5
+) -> tuple[np.ndarray, tuple[int, int]]:
     """4-connected flood fill of the superlevel set from the prompt pixel.
+
+    Returns the (n, n) bool mask and the (row, col) seed pixel it grew from.
 
     If the prompt itself is below threshold, the nearest above-threshold
     pixel within a 5-pixel radius is used instead (row-major tie-break),
@@ -78,12 +53,11 @@ def segment_slice(slc: Slice, prompt_pixel, threshold: float = 0.5) -> Mask:
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie strictly between 0 and 1")
-    px = slc.pixels
-    n = px.shape[0]
+    n = pixels.shape[0]
     i0, j0 = int(prompt_pixel[0]), int(prompt_pixel[1])
     if not (0 <= i0 < n and 0 <= j0 < n):
         raise SegmentationFailed(f"prompt pixel {(i0, j0)} outside the slice")
-    above = px >= threshold
+    above = pixels >= threshold
 
     seed = (i0, j0)
     if not above[seed]:
@@ -102,8 +76,7 @@ def segment_slice(slc: Slice, prompt_pixel, threshold: float = 0.5) -> Mask:
 
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
     labels, _ = ndimage.label(above, structure=structure)
-    mask = labels == labels[seed]
-    return Mask(mask, seed)
+    return labels == labels[seed], seed
 
 
 # Moore neighborhood in clockwise order starting east, image coords (row down)
@@ -153,23 +126,24 @@ def _moore_trace(mask: np.ndarray) -> list[tuple[int, int]]:
     raise RuntimeError("boundary trace did not close")
 
 
-def trace_boundary(mask: Mask, plane: SlicePlane) -> Contour:
-    """Outermost boundary of the mask as a CCW contour.
+def trace_boundary(mask: np.ndarray, pixel_spacing: float) -> np.ndarray:
+    """Outermost boundary of the (n, n) bool mask as a CCW (M, 2) contour in mm.
 
     Moore-neighbor tracing over pixel centers; the start point is the
     boundary pixel with lexicographically smallest (row, col).  Pixel
-    indices convert to in-plane mm through the slicer contract.
+    (i, j) converts to in-plane mm through the slicer contract,
+    ((i - c) * ds, (j - c) * ds) with c = (n - 1) / 2.
     """
-    if not mask.pixels.any():
+    if not mask.any():
         raise ValueError("cannot trace an empty mask")
-    trace = _moore_trace(mask.pixels)
-    pts = plane.pixel_to_plane(np.asarray(trace, dtype=np.float64))
+    trace = np.asarray(_moore_trace(mask), dtype=np.float64)
+    pts = (trace - (np.asarray(mask.shape) - 1) / 2.0) * pixel_spacing
     if len(pts) >= 3 and signed_area(pts) < 0:
         pts = np.vstack([pts[:1], pts[1:][::-1]])
-    return Contour(pts)
+    return _check_contour(pts)
 
 
-def resample_contour(contour: Contour, m: int = 32) -> Contour:
+def resample_contour(points, m: int = 32) -> np.ndarray:
     """m points equally spaced by arc length along the closed contour.
 
     The seam (index 0) is the input vertex with the maximum first in-plane
@@ -178,7 +152,7 @@ def resample_contour(contour: Contour, m: int = 32) -> Contour:
     """
     if m < _MIN_CONTOUR_POINTS:
         raise ValueError(f"m must be at least {_MIN_CONTOUR_POINTS}")
-    p = contour.points
+    p = _check_contour(np.asarray(points, dtype=np.float64))
     n = len(p)
     edges = np.roll(p, -1, axis=0) - p
     seg_len = np.linalg.norm(edges, axis=1)
@@ -192,5 +166,4 @@ def resample_contour(contour: Contour, m: int = 32) -> Contour:
     e = np.minimum(np.searchsorted(cum, s, side="right") - 1, n - 1)
     # a zero-length edge contributes its start vertex (t = 0)
     t = np.divide(s - cum[e], seg_len[e], out=np.zeros(m - 1), where=seg_len[e] > 0)
-    out = np.vstack([p[seam], p[e] + t[:, None] * edges[e]])
-    return Contour(out)
+    return np.vstack([p[seam], p[e] + t[:, None] * edges[e]])

@@ -107,8 +107,7 @@ def mask_hausdorff(a, b, spacing) -> float:
 def area_uniform_samples(mesh, n: int, seed: int) -> np.ndarray:
     """Sample n points uniformly by area over a TriMesh surface, seeded."""
     rng = np.random.default_rng(seed)
-    p = mesh.vertices[mesh.triangles]
-    areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    areas = mesh.triangle_areas()
     total = areas.sum()
     if total <= 0:
         raise ValueError("mesh has no area to sample")
@@ -119,7 +118,7 @@ def area_uniform_samples(mesh, n: int, seed: int) -> np.ndarray:
     bc0 = 1.0 - su
     bc1 = su * (1.0 - v)
     bc2 = su * v
-    t = p[tri_idx]
+    t = mesh.vertices[mesh.triangles[tri_idx]]
     return bc0[:, None] * t[:, 0] + bc1[:, None] * t[:, 1] + bc2[:, None] * t[:, 2]
 
 

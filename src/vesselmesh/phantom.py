@@ -204,28 +204,25 @@ def analytic_surface(
         raise ValueError("analytic surface needs nu, nv >= 8")
     curve, radius, length, _ = _tube(spec, branch)
     s = np.linspace(0.0, length, nu)
-    frs = cl.frames(curve(s))
+    anchors = curve(s)
+    rs = cl.frames(anchors)
     radii = radius(s)
     theta = 2.0 * np.pi * np.arange(nv) / nv
-    anchor = np.stack([fr.anchor for fr in frs])[:, None, :]
-    b = np.stack([fr.b for fr in frs])[:, None, :]
-    n = np.stack([fr.n for fr in frs])[:, None, :]
+    b = rs[:, None, :, 0]
+    n = rs[:, None, :, 1]
     # counter-clockwise in (b, n) so the loft winding points outward
-    rings = anchor + radii[:, None, None] * (
+    rings = anchors[:, None, :] + radii[:, None, None] * (
         np.cos(theta)[:, None] * b + np.sin(theta)[:, None] * n
     )
     return loft_rings(rings, caps=caps)
 
 
-def _distance_to_curve(query: np.ndarray, s: np.ndarray, pts: np.ndarray):
+def _distance_to_curve(query: np.ndarray, s: np.ndarray, pts: np.ndarray, tree):
     """Exact distance to the densely sampled polyline, plus arc parameter.
 
-    Nearest sample via a KD-tree, refined by projecting onto the two
-    adjacent segments.
+    Nearest sample via ``tree``, the KD-tree over ``pts``, refined by
+    projecting onto the two adjacent segments.
     """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
     _, idx = tree.query(query, k=1)
     best_d2 = np.einsum("ij,ij->i", query - pts[idx], query - pts[idx])
     best_s = s[idx]
@@ -301,7 +298,8 @@ def rasterize(spec: PhantomSpec) -> Volume:
         s_dense = np.linspace(0.0, length, 1024)
         pts_dense = curve(s_dense)
         h = np.linalg.norm(np.diff(pts_dense, axis=0), axis=1).max()
-        d_vertex, _ = cKDTree(pts_dense).query(centres, k=1)
+        tree = cKDTree(pts_dense)
+        d_vertex, _ = tree.query(centres, k=1)
         keep = (d_vertex - h / 2.0 - half_diag <= r_max + w + 1e-6).reshape(bz.shape)
         band = keep.repeat(_BLOCK, 0).repeat(_BLOCK, 1).repeat(_BLOCK, 2)[:nz, :ny, :nx]
         idx = np.flatnonzero(band)
@@ -311,7 +309,7 @@ def rasterize(spec: PhantomSpec) -> Volume:
             iz, rest = np.divmod(part, ny * nx)
             iy, ix = np.divmod(rest, nx)
             query = np.column_stack([xs[ix], ys[iy], zs[iz]])
-            d, s_near = _distance_to_curve(query, s_dense, pts_dense)
+            d, s_near = _distance_to_curve(query, s_dense, pts_dense, tree)
             val = np.clip(1.0 - (d - radius(s_near)) / w, 0.0, 1.0)
             flat[part] = np.maximum(flat[part], val)
 

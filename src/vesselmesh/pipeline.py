@@ -73,6 +73,11 @@ _DEFAULTS = {
 }
 
 
+# the key each centerline source reads its input from (the analytic source
+# reads the phantom)
+_CENTERLINE_INPUT = {"analytic": None, "csv": "path", "cdm": "checkpoint"}
+
+
 def _cast(value, default):
     """value as its default's type, which must accept it (a bool is no number
     here); a tuple default takes a list of its length (or the tuple that
@@ -91,7 +96,8 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
     """The config with every default filled in and every value cast.
 
     Raises ValueError naming the dotted path of the first non-object
-    section, unknown key or value of the wrong type.
+    section, unknown key or value of the wrong type, or the centerline key
+    that the chosen ``centerline.source`` needs and the config leaves out.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
@@ -110,6 +116,14 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
             resolved[key] = value if default is None else _cast(value, default)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {where}{key}: {exc}") from exc
+    if defaults is _DEFAULTS:
+        source = resolved["centerline"]["source"]
+        if source not in _CENTERLINE_INPUT:
+            raise ValueError(f"config key centerline.source: unknown source {source!r}, "
+                             f"expected one of {sorted(_CENTERLINE_INPUT)}")
+        key = _CENTERLINE_INPUT[source]
+        if key is not None and resolved["centerline"][key] is None:
+            raise ValueError(f"config key centerline.{key} is required by source {source!r}")
     return resolved
 
 
@@ -167,23 +181,23 @@ def stage_centerline(config: dict, out: Path) -> Path:
             raw = phantom.analytic_centerline(spec, k)
         elif source == "csv":
             raw = cl.read_csv(ccfg["path"])
-        elif source == "cdm":
+        else:  # "cdm", the one source left after resolve_config
             vol = load_raw(out / "volume.f32raw")
             den, sched = cdm.load_checkpoint(ccfg["checkpoint"])
             rng = np.random.default_rng(config["seed"])
             encoder = cdm.VolumeFeatureEncoder(vol)
             raw = cdm.sample(vol, encoder, den, sched, rng)
-        else:
-            raise ValueError(f"unknown centerline source {source!r}")
         smoothed = cl.smooth_resample(raw, k) if ccfg["smooth"] else raw
         cl.write_csv(smoothed, path)
     return path
 
 
 def _slice_geometry(config: dict, out: Path):
+    """(volume, anchors, rotations, half_extent, n_pix) of the station planes:
+    the (K, 3) centerline points and their (K, 3, 3) frames."""
     config = resolve_config(config)
     vol = load_raw(out / "volume.f32raw")
-    stations = cl.read_csv(out / "centerline.csv")
+    anchors = cl.read_csv(out / "centerline.csv")
     half_extent = config["slice"]["half_extent_mm"]
     if half_extent is None:
         if config["phantom"] is not None:
@@ -191,60 +205,51 @@ def _slice_geometry(config: dict, out: Path):
             half_extent = 4.0 * phantom.peak_radius(spec)
         else:
             raise ValueError("slice.half_extent_mm is required for non-phantom volumes")
-    n_pix = config["slice"]["n_pix"]
-    planes = [slicer.SlicePlane(fr, float(half_extent), n_pix) for fr in cl.frames(stations)]
-    return vol, planes
+    return vol, anchors, cl.frames(anchors), float(half_extent), config["slice"]["n_pix"]
 
 
 def stage_slices(config: dict, out: Path) -> Path:
     """Optional inspection dump: one PGM per station."""
     with _stage("slice"):
-        vol, planes = _slice_geometry(config, out)
+        vol, anchors, rs, half_extent, n_pix = _slice_geometry(config, out)
         slice_dir = out / "slices"
         slice_dir.mkdir(exist_ok=True)
-        for i, plane in enumerate(planes):
-            slc = slicer.extract_slice(vol, plane)
-            slicer.write_pgm(slc, slice_dir / f"station_{i:03d}.pgm")
+        for i, (anchor, r) in enumerate(zip(anchors, rs)):
+            pixels = slicer.extract_slice(vol, anchor, r, half_extent, n_pix)
+            slicer.write_pgm(pixels, slice_dir / f"station_{i:03d}.pgm")
     return out / "slices"
 
 
 def stage_segment(config: dict, out: Path) -> Path:
-    """Slice, segment, trace, resample, and lift every station to 3D."""
+    """Slice, segment, trace and resample every station, then lift all to 3D."""
     config = resolve_config(config)
     ccfg = config["contours"]
     m, threshold, masks_dir = ccfg["points"], ccfg["threshold"], ccfg["masks_dir"]
     path = out / "contours_raw.json"
     with _stage("segment"):
-        vol, planes = _slice_geometry(config, out)
-        center = (config["slice"]["n_pix"] - 1) // 2
-        stations = []
-        for i, plane in enumerate(planes):
-            slc = slicer.extract_slice(vol, plane)
+        vol, anchors, rs, half_extent, n_pix = _slice_geometry(config, out)
+        center = (n_pix - 1) // 2
+        ds = slicer.pixel_spacing(half_extent, n_pix)
+        contours = []
+        for i, (anchor, r) in enumerate(zip(anchors, rs)):
+            pixels = slicer.extract_slice(vol, anchor, r, half_extent, n_pix)
             if masks_dir:
-                mask_px = slicer.read_pgm_mask(Path(masks_dir) / f"station_{i:03d}.pgm")
-                if mask_px.shape != slc.pixels.shape:
+                mask = slicer.read_pgm_mask(Path(masks_dir) / f"station_{i:03d}.pgm")
+                if mask.shape != pixels.shape:
                     raise ValueError(
-                        f"mask station_{i:03d}.pgm shape {mask_px.shape} does not "
-                        f"match slice resolution {slc.pixels.shape}"
+                        f"mask station_{i:03d}.pgm shape {mask.shape} does not "
+                        f"match slice resolution {pixels.shape}"
                     )
-                mask = lumenseg.Mask(mask_px, (center, center))
             else:
-                mask = lumenseg.segment_slice(slc, (center, center), threshold)
-            traced = lumenseg.trace_boundary(mask, plane)
-            resampled = lumenseg.resample_contour(traced, m)
-            lifted = plane.plane_to_world(resampled.points)
-            stations.append(
-                {
-                    "station_index": i,
-                    "anchor": plane.frame.anchor.tolist(),
-                    "frame": {
-                        "t": plane.frame.t.tolist(),
-                        "n": plane.frame.n.tolist(),
-                        "b": plane.frame.b.tolist(),
-                    },
-                    "points": lifted.tolist(),
-                }
-            )
+                mask, _ = lumenseg.segment_slice(pixels, (center, center), threshold)
+            contours.append(lumenseg.resample_contour(lumenseg.trace_boundary(mask, ds), m))
+        lifted = slicer.lift(np.array(contours), anchors, rs)
+        stations = [
+            {"station_index": i, "anchor": g.tolist(),
+             "frame": {"t": r[:, 2].tolist(), "n": r[:, 1].tolist(), "b": r[:, 0].tolist()},
+             "points": pts.tolist()}
+            for i, (g, r, pts) in enumerate(zip(anchors, rs, lifted))
+        ]
         _write_json(path, {"stations": stations})
     return path
 
@@ -447,6 +452,10 @@ def train_cdm(config: dict, out) -> Path:
 def sample_cdm(config: dict, out) -> Path:
     """Sample one centerline from a trained checkpoint, conditioned on a volume."""
     config = resolve_config(config)
+    if config["checkpoint"] is None:
+        raise ValueError("config key checkpoint is required to sample")
+    if config["phantom"] is None and config["volume"]["path"] is None:
+        raise ValueError("config key volume.path (or a phantom section) is required to sample")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("cdm-sample"):

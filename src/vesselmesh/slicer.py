@@ -1,99 +1,68 @@
 """Cross-sectional slice extraction on planes orthogonal to the centerline.
 
-The in-plane coordinate contract: pixel (i, j) of an n_pix x n_pix slice
-sits at local coordinates
+A station's plane is its centerline point g (the anchor) and its frame
+rotation R from ``centerline.frames``, whose columns are (b, n, t).  The
+in-plane coordinate contract: pixel (i, j) of an n_pix x n_pix slice sits at
+local coordinates
 
     l = ((i - c) * ds, (j - c) * ds, 0),   c = (n_pix - 1) / 2
 
-and maps to world space through the frame's rotation, world = R l + g,
-where g is the plane anchor.  The center pixel therefore lands exactly on
-the anchor.  The inverse (world -> plane) is R^T because frames are
-orthonormal.
+and maps to world space through the frame's rotation, world = R l + g.  The
+center pixel therefore lands exactly on the anchor.  The inverse (world ->
+plane) is R^T because frames are orthonormal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .centerline import LocalFrame
 from .volume import Volume, sample_trilinear
 
 _ORTHO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SlicePlane:
-    frame: LocalFrame
-    half_extent: float
-    n_pix: int
-
-    def __post_init__(self):
-        if self.n_pix < 16:
-            raise ValueError("n_pix must be at least 16")
-        if self.half_extent <= 0:
-            raise ValueError("half_extent must be positive")
-        r = self.frame.r
-        if np.abs(r.T @ r - np.eye(3)).max() > _ORTHO_TOL:
-            raise ValueError("slice plane frame is not orthonormal")
-
-    @property
-    def pixel_spacing(self) -> float:
-        return 2.0 * self.half_extent / (self.n_pix - 1)
-
-    def pixel_to_plane(self, ij) -> np.ndarray:
-        """Pixel indices (i, j) to in-plane mm coordinates (along b, along n)."""
-        ij = np.asarray(ij, dtype=np.float64)
-        c = (self.n_pix - 1) / 2.0
-        return (ij - c) * self.pixel_spacing
-
-    def plane_to_world(self, pts2d) -> np.ndarray:
-        """In-plane mm points to world space, R l + g; the result lies on the plane to round-off."""
-        pts2d = np.atleast_2d(np.asarray(pts2d, dtype=np.float64))
-        l = np.zeros((len(pts2d), 3))
-        l[:, :2] = pts2d
-        return l @ self.frame.r.T + self.frame.anchor
-
-    def world_to_plane(self, pts3d) -> np.ndarray:
-        pts3d = np.atleast_2d(np.asarray(pts3d, dtype=np.float64))
-        return (pts3d - self.frame.anchor) @ self.frame.r
+def pixel_spacing(half_extent: float, n_pix: int) -> float:
+    """Pixel pitch ds in mm of an n_pix slice spanning [-half_extent, half_extent]."""
+    return 2.0 * half_extent / (n_pix - 1)
 
 
-@dataclass(frozen=True)
-class Slice:
-    plane: SlicePlane
-    pixels: np.ndarray  # (n_pix, n_pix), pixels[i, j], i along b, j along n
+def extract_slice(vol: Volume, anchor: np.ndarray, r: np.ndarray, half_extent: float,
+                  n_pix: int) -> np.ndarray:
+    """The (n_pix, n_pix) trilinear resample of the volume on one station's plane.
 
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        n = self.plane.n_pix
-        if px.shape != (n, n):
-            raise ValueError(f"pixel grid {px.shape} does not match resolution {n}")
-        object.__setattr__(self, "pixels", px)
-
-
-def extract_slice(vol: Volume, plane: SlicePlane) -> Slice:
-    """Resample the volume onto the plane with trilinear interpolation."""
-    n = plane.n_pix
-    c = (n - 1) / 2.0
-    ds = plane.pixel_spacing
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ``pixels[i, j]`` sits at i along b (column 0 of r) and j along n
+    (column 1).
+    """
+    if n_pix < 16:
+        raise ValueError("n_pix must be at least 16")
+    if half_extent <= 0:
+        raise ValueError("half_extent must be positive")
+    if np.abs(r.T @ r - np.eye(3)).max() > _ORTHO_TOL:
+        raise ValueError("slice plane frame is not orthonormal")
+    c = (n_pix - 1) / 2.0
+    ds = pixel_spacing(half_extent, n_pix)
+    ii, jj = np.meshgrid(np.arange(n_pix), np.arange(n_pix), indexing="ij")
     alpha = (ii.ravel() - c) * ds
     beta = (jj.ravel() - c) * ds
-    world = (
-        alpha[:, None] * plane.frame.b[None, :]
-        + beta[:, None] * plane.frame.n[None, :]
-        + plane.frame.anchor[None, :]
-    )
-    vals = sample_trilinear(vol, world)
-    return Slice(plane, vals.reshape(n, n))
+    world = alpha[:, None] * r[None, :, 0] + beta[:, None] * r[None, :, 1] + anchor[None, :]
+    return sample_trilinear(vol, world).reshape(n_pix, n_pix)
 
 
-def write_pgm(slc: Slice, path) -> None:
-    """ASCII PGM dump scaled to 0..65535, for inspection."""
-    px = slc.pixels
+def lift(points2d, anchors: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """In-plane (K, M, 2) mm contours to world (K, M, 3): R l + g per station.
+
+    The lifted points lie on their planes to round-off.
+    """
+    pts = np.asarray(points2d, dtype=np.float64)
+    l = np.zeros(pts.shape[:-1] + (3,))
+    l[..., :2] = pts
+    return np.matmul(l, rs.swapaxes(1, 2)) + anchors[:, None]
+
+
+def write_pgm(px, path) -> None:
+    """ASCII PGM dump of an (n, n) slice scaled to 0..65535, for inspection."""
     lo = px.min()
     hi = px.max()
     if hi > lo:

@@ -85,23 +85,25 @@ def test_criterion_2_slicing_consistency():
                         spacing=(0.5, 0.5, 0.5), origin=(-2.0, -2.0, -2.0))
     t = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     n = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
-    frame = cl.LocalFrame(t=t, n=n, b=np.cross(n, t), anchor=np.array([2.2, 2.4, 2.6]))
-    plane = slicer.SlicePlane(frame, half_extent=1.5, n_pix=16)
-    slc = slicer.extract_slice(vol, plane)
+    b = np.cross(n, t)
+    r = np.column_stack([b, n, t])
+    anchor = np.array([2.2, 2.4, 2.6])
+    n_pix = 16
+    pixels = slicer.extract_slice(vol, anchor, r, 1.5, n_pix)
     coeff = np.array([2.0, 0.25, -0.5])
-    ds = plane.pixel_spacing
-    c = (plane.n_pix - 1) / 2.0
+    ds = slicer.pixel_spacing(1.5, n_pix)
+    c = (n_pix - 1) / 2.0
     worst = 0.0
-    for i in range(plane.n_pix):
-        for j in range(plane.n_pix):
-            world = frame.anchor + (i - c) * ds * frame.b + (j - c) * ds * frame.n
-            worst = max(worst, abs(slc.pixels[i, j] - (coeff @ world + 1.0)))
+    for i in range(n_pix):
+        for j in range(n_pix):
+            world = anchor + (i - c) * ds * b + (j - c) * ds * n
+            worst = max(worst, abs(pixels[i, j] - (coeff @ world + 1.0)))
     assert worst <= 1e-9
 
     rng = np.random.default_rng(1)
     pts2d = rng.uniform(-3, 3, size=(100, 2))
-    lifted = plane.plane_to_world(pts2d)
-    back = plane.world_to_plane(lifted)
+    lifted = slicer.lift(pts2d[None], anchor[None], r[None])[0]
+    back = (lifted - anchor) @ r  # world -> plane is R^T
     rt_err = max(np.abs(back[:, :2] - pts2d).max(), np.abs(back[:, 2]).max())
     assert rt_err <= 1e-12
     elapsed = time.perf_counter() - t0

@@ -75,11 +75,12 @@ def test_smooth_resample_reduces_zigzag_turning():
 
 def test_frames_straight_line():
     pts = np.column_stack([np.zeros(8), np.zeros(8), np.arange(8.0)])
-    frs = cl.frames(pts)
-    for fr in frs:
-        assert np.allclose(fr.n, [1, 0, 0], atol=1e-12)
-        assert np.allclose(fr.b, [0, -1, 0], atol=1e-12)
-        assert np.linalg.det(fr.r) == pytest.approx(1.0, abs=1e-9)
+    rs = cl.frames(pts)
+    assert rs.shape == (8, 3, 3)
+    for r in rs:
+        assert np.allclose(r[:, 1], [1, 0, 0], atol=1e-12)
+        assert np.allclose(r[:, 0], [0, -1, 0], atol=1e-12)
+        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_frames_planar_arc_stay_in_plane():
@@ -88,27 +89,27 @@ def test_frames_planar_arc_stay_in_plane():
     # the normal vector (the out-of-plane axis is orthogonal to t0)
     angles = np.linspace(0, np.pi / 2, 24)
     pts = np.column_stack([10 * np.cos(angles), np.zeros_like(angles), 10 * np.sin(angles)])
-    frs = cl.frames(pts)
-    n0 = frs[0].n
+    rs = cl.frames(pts)
+    n0 = rs[0, :, 1]
     assert abs(abs(n0[1]) - 1.0) <= 1e-9  # plane normal is y
-    for fr in frs:
-        assert np.abs(fr.n - n0).max() <= 1e-9
-        assert abs(fr.b[1]) <= 1e-9  # binormal stays in-plane
+    for r in rs:
+        assert np.abs(r[:, 1] - n0).max() <= 1e-9
+        assert abs(r[1, 0]) <= 1e-9  # binormal stays in-plane
 
 
 def test_frames_orthonormal_on_helix():
     s = np.linspace(0, 4 * np.pi, 40)
     pts = np.column_stack([5 * np.cos(s), 5 * np.sin(s), 2 * s])
-    for fr in cl.frames(pts):
-        r = fr.r
+    for r in cl.frames(pts):
+        b, n, t = r.T
         assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-12
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
-        assert abs(np.linalg.norm(fr.t) - 1) <= 1e-12
-        assert abs(np.linalg.norm(fr.n) - 1) <= 1e-12
-        assert abs(np.linalg.norm(fr.b) - 1) <= 1e-12
-        assert abs(np.dot(fr.t, fr.n)) <= 1e-12
-        assert abs(np.dot(fr.t, fr.b)) <= 1e-12
-        assert abs(np.dot(fr.n, fr.b)) <= 1e-12
+        assert abs(np.linalg.norm(t) - 1) <= 1e-12
+        assert abs(np.linalg.norm(n) - 1) <= 1e-12
+        assert abs(np.linalg.norm(b) - 1) <= 1e-12
+        assert abs(np.dot(t, n)) <= 1e-12
+        assert abs(np.dot(t, b)) <= 1e-12
+        assert abs(np.dot(n, b)) <= 1e-12
 
 
 def _angle(u, v):
@@ -127,9 +128,9 @@ def test_frame_continuity_no_spurious_twist():
     steps = rng.normal(size=(30, 3)) * 0.04 + np.array([0.1, 0.05, 1.0])
     curves.append(np.cumsum(steps, axis=0))
     for pts in curves:
-        frs = cl.frames(pts)
-        for a, b in zip(frs[:-1], frs[1:]):
-            assert _angle(a.n, b.n) <= _angle(a.t, b.t) + 1e-6
+        rs = cl.frames(pts)
+        for a, b in zip(rs[:-1], rs[1:]):
+            assert _angle(a[:, 1], b[:, 1]) <= _angle(a[:, 2], b[:, 2]) + 1e-6
 
 
 def test_encode_decode_identity():

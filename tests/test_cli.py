@@ -100,10 +100,9 @@ def test_slice_dump_and_masks_dir(tiny_config):
     # external masks: threshold each stored slice and feed it back in
     masks = root / "masks"
     masks.mkdir(exist_ok=True)
-    vol, planes = pipeline._slice_geometry(cfg, out)
-    for i, plane in enumerate(planes):
-        slc = slicer.extract_slice(vol, plane)
-        mask = (slc.pixels >= 0.5)
+    vol, anchors, rs, half_extent, n_pix = pipeline._slice_geometry(cfg, out)
+    for i, (anchor, r) in enumerate(zip(anchors, rs)):
+        mask = slicer.extract_slice(vol, anchor, r, half_extent, n_pix) >= 0.5
         lines = ["P2", f"{mask.shape[1]} {mask.shape[0]}", "255"]
         for row in mask.astype(int) * 255:
             lines.append(" ".join(str(v) for v in row))
@@ -221,6 +220,10 @@ def _with(section, key, value):
     (["pipeline"], _with("surface", "tess_u", 31.9), "surface.tess_u"),
     (["pipeline"], _with("surface", "tess_u", True), "surface.tess_u"),
     (["pipeline"], _with("centerline", "smooth", 0), "centerline.smooth"),
+    (["pipeline"], _with("centerline", "source", "csv"), "centerline.path"),
+    (["pipeline"], _with("centerline", "source", "cdm"), "centerline.checkpoint"),
+    (["pipeline"], _with("centerline", "source", "spline"), "centerline.source"),
+    (["centerline"], _with("centerline", "source", "csv"), "centerline.path"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"
@@ -232,6 +235,22 @@ def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     assert doc["stage"] == "config"
     assert named in doc["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"phantom": _tiny_dict()["phantom"]}, "checkpoint"),
+    ({"checkpoint": "model"}, "volume.path"),
+])
+def test_cdm_sample_without_its_inputs_exits_2(tmp_path, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = _run("cdm", "sample", "--config", str(path), "--out", str(out))
+    assert res.returncode == 2, res.stdout + res.stderr
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc["stage"] == "config"
+    assert named in doc["error"]
+    assert not any(out.iterdir())  # the CLI made the directory, no stage wrote to it
 
 
 def test_bad_phantom_spec_flag_exits_2(tmp_path):

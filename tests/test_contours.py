@@ -140,14 +140,16 @@ def test_arc_stack_alignment_improves_correspondence(arc_spec):
 
     vol = phantom.rasterize(arc_spec)
     pts = phantom.analytic_centerline(arc_spec, 8)
-    frs = cl.frames(pts)
-    stack = []
-    for fr in frs:
-        plane = slicer.SlicePlane(fr, half_extent=4 * arc_spec.base_radius_mm, n_pix=64)
-        slc = slicer.extract_slice(vol, plane)
-        c = (plane.n_pix - 1) // 2
-        contour = seg.resample_contour(seg.trace_boundary(seg.segment_slice(slc, (c, c)), plane), 32)
-        stack.append(plane.plane_to_world(contour.points))
+    rs = cl.frames(pts)
+    half_extent = 4 * arc_spec.base_radius_mm
+    ds = slicer.pixel_spacing(half_extent, 64)
+    contours2d = []
+    for anchor, r in zip(pts, rs):
+        pixels = slicer.extract_slice(vol, anchor, r, half_extent, 64)
+        c = (64 - 1) // 2
+        mask, _ = seg.segment_slice(pixels, (c, c))
+        contours2d.append(seg.resample_contour(seg.trace_boundary(mask, ds), 32))
+    stack = list(slicer.lift(np.array(contours2d), pts, rs))
     scrambled = [stack[0]] + [np.roll(s, int(rng.integers(1, 31)), axis=0) for s in stack[1:]]
 
     def mean_corresponding(cs):

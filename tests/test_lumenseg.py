@@ -4,104 +4,91 @@ import pytest
 from vesselmesh import centerline as cl, lumenseg, phantom, slicer
 
 
-def _plane(n_pix=64, half_extent=10.0):
-    fr = cl.LocalFrame(
-        t=np.array([0.0, 0.0, 1.0]),
-        n=np.array([0.0, 1.0, 0.0]),
-        b=np.array([1.0, 0.0, 0.0]),
-        anchor=np.zeros(3),
-    )
-    return slicer.SlicePlane(fr, half_extent=half_extent, n_pix=n_pix)
+# pixel spacing of the 64-pixel test slices, 10 mm half extent
+_DS = slicer.pixel_spacing(10.0, 64)
 
 
-def _disk_slice(plane, center_px, radius_px):
-    n = plane.n_pix
+def _perimeter(points):
+    return float(np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1).sum())
+
+
+def _disk_slice(center_px, radius_px, n=64):
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     d = np.hypot(ii - center_px[0], jj - center_px[1])
-    pixels = np.where(d <= radius_px, 1.0, 0.0)
-    return slicer.Slice(plane, pixels)
+    return np.where(d <= radius_px, 1.0, 0.0)
 
 
 def test_segment_disk_exact():
-    plane = _plane()
-    slc = _disk_slice(plane, (31.5, 31.5), 14.0)
-    mask = lumenseg.segment_slice(slc, (31, 31))
-    assert np.array_equal(mask.pixels, slc.pixels >= 0.5)
+    pixels = _disk_slice((31.5, 31.5), 14.0)
+    mask, _ = lumenseg.segment_slice(pixels, (31, 31))
+    assert np.array_equal(mask, pixels >= 0.5)
 
 
 def test_segment_selects_connected_component():
-    plane = _plane()
-    n = plane.n_pix
+    n = 64
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     da = np.hypot(ii - 18, jj - 18)
     db = np.hypot(ii - 45, jj - 45)
     pixels = np.where((da <= 8) | (db <= 8), 1.0, 0.0)
-    slc = slicer.Slice(plane, pixels)
-    mask = lumenseg.segment_slice(slc, (18, 18))
-    assert np.array_equal(mask.pixels, da <= 8)
-    assert not mask.pixels[45, 45]
+    mask, _ = lumenseg.segment_slice(pixels, (18, 18))
+    assert np.array_equal(mask, da <= 8)
+    assert not mask[45, 45]
 
 
 def test_segment_prompt_recovery_within_radius():
-    plane = _plane()
-    slc = _disk_slice(plane, (40.0, 40.0), 6.0)
+    pixels = _disk_slice((40.0, 40.0), 6.0)
     # prompt 4 pixels outside the disk edge: nearest in-disk pixel is used
-    mask = lumenseg.segment_slice(slc, (40, 30))
-    assert mask.pixels.any()
-    assert mask.prompt == (40, 34)
+    mask, seed = lumenseg.segment_slice(pixels, (40, 30))
+    assert mask.any()
+    assert seed == (40, 34)
 
 
 def test_segment_fails_beyond_radius():
-    plane = _plane()
-    slc = _disk_slice(plane, (50.0, 50.0), 4.0)
+    pixels = _disk_slice((50.0, 50.0), 4.0)
     with pytest.raises(lumenseg.SegmentationFailed):
-        lumenseg.segment_slice(slc, (5, 5))
+        lumenseg.segment_slice(pixels, (5, 5))
 
 
 def test_segment_phantom_slice_area(straight_spec, straight_volume):
     pts = phantom.analytic_centerline(straight_spec, 16)
-    frs = cl.frames(pts)
-    plane = slicer.SlicePlane(frs[8], half_extent=4 * straight_spec.base_radius_mm, n_pix=64)
-    slc = slicer.extract_slice(straight_volume, plane)
-    center = (plane.n_pix - 1) // 2
-    mask = lumenseg.segment_slice(slc, (center, center))
-    ds = plane.pixel_spacing
+    rs = cl.frames(pts)
+    half_extent = 4 * straight_spec.base_radius_mm
+    pixels = slicer.extract_slice(straight_volume, pts[8], rs[8], half_extent, 64)
+    center = (64 - 1) // 2
+    mask, _ = lumenseg.segment_slice(pixels, (center, center))
+    ds = slicer.pixel_spacing(half_extent, 64)
     # pixel-counting oracle: flood fill recovers the half-level disk
     r_half = straight_spec.base_radius_mm + straight_spec.wall_softness / 2.0
-    area = mask.area_pixels * ds * ds
+    area = int(mask.sum()) * ds * ds
     assert abs(area - np.pi * r_half ** 2) / (np.pi * r_half ** 2) <= 0.05
 
 
 def test_single_pixel_mask_rejected():
-    plane = _plane(n_pix=16)
     px = np.zeros((16, 16), dtype=bool)
     px[8, 8] = True
     with pytest.raises(ValueError, match="M >= 8"):
-        lumenseg.trace_boundary(lumenseg.Mask(px, (8, 8)), plane)
+        lumenseg.trace_boundary(px, slicer.pixel_spacing(10.0, 16))
 
 
 def test_square_boundary_pixel_count():
-    plane = _plane(n_pix=16)
     px = np.zeros((16, 16), dtype=bool)
     px[3:13, 3:13] = True  # 10x10 square
-    contour = lumenseg.trace_boundary(lumenseg.Mask(px, (8, 8)), plane)
+    contour = lumenseg.trace_boundary(px, slicer.pixel_spacing(10.0, 16))
     # hand rule: 4 * 10 - 4 = 36 boundary pixels
-    assert len(contour.points) == 36
+    assert len(contour) == 36
 
 
 def test_disk_isoperimetric_ratio():
     # the traced pixel-center polygon carries a staircase perimeter penalty
     # of about 5 percent, so the ratio sits just above 0.9 at this radius;
     # resampling smooths the staircase and pushes it near 1
-    plane = _plane()
-    slc = _disk_slice(plane, (31.5, 31.5), 24.0)
-    mask = lumenseg.segment_slice(slc, (31, 31))
-    contour = lumenseg.trace_boundary(mask, plane)
-    area = lumenseg.signed_area(contour.points)
-    ratio = 4 * np.pi * area / contour.perimeter() ** 2
+    mask, _ = lumenseg.segment_slice(_disk_slice((31.5, 31.5), 24.0), (31, 31))
+    contour = lumenseg.trace_boundary(mask, _DS)
+    area = lumenseg.signed_area(contour)
+    ratio = 4 * np.pi * area / _perimeter(contour) ** 2
     assert ratio >= 0.9
     rs = lumenseg.resample_contour(contour, 32)
-    assert 4 * np.pi * lumenseg.signed_area(rs.points) / rs.perimeter() ** 2 >= 0.98
+    assert 4 * np.pi * lumenseg.signed_area(rs) / _perimeter(rs) ** 2 >= 0.98
 
 
 def _is_simple(points2d, tol: float = 1e-12) -> bool:
@@ -130,38 +117,37 @@ def _is_simple(points2d, tol: float = 1e-12) -> bool:
 
 def test_trace_is_ccw_and_simple(straight_spec, straight_volume):
     pts = phantom.analytic_centerline(straight_spec, 16)
-    frs = cl.frames(pts)
+    rs = cl.frames(pts)
     for idx in (2, 8, 13):
-        plane = slicer.SlicePlane(frs[idx], half_extent=24.0, n_pix=64)
-        slc = slicer.extract_slice(straight_volume, plane)
-        c = (plane.n_pix - 1) // 2
-        contour = lumenseg.trace_boundary(lumenseg.segment_slice(slc, (c, c)), plane)
-        assert lumenseg.signed_area(contour.points) > 0
-        assert _is_simple(contour.points)
+        pixels = slicer.extract_slice(straight_volume, pts[idx], rs[idx], 24.0, 64)
+        c = (64 - 1) // 2
+        mask, _ = lumenseg.segment_slice(pixels, (c, c))
+        contour = lumenseg.trace_boundary(mask, slicer.pixel_spacing(24.0, 64))
+        assert lumenseg.signed_area(contour) > 0
+        assert _is_simple(contour)
 
 
 def test_trace_empty_mask_errors():
-    plane = _plane(n_pix=16)
     with pytest.raises(ValueError, match="empty"):
-        lumenseg.trace_boundary(lumenseg.Mask(np.zeros((16, 16), dtype=bool), (0, 0)), plane)
+        lumenseg.trace_boundary(np.zeros((16, 16), dtype=bool), slicer.pixel_spacing(10.0, 16))
 
 
 def test_resample_default_is_32():
     theta = np.linspace(0, 2 * np.pi, 65)[:-1]
-    contour = lumenseg.Contour(np.column_stack([np.cos(theta), np.sin(theta)]))
-    assert len(lumenseg.resample_contour(contour).points) == 32
+    contour = np.column_stack([np.cos(theta), np.sin(theta)])
+    assert len(lumenseg.resample_contour(contour)) == 32
 
 
 def test_resample_circle_uniform_gaps():
     r = 7.0
     theta = np.linspace(0, 2 * np.pi, 4097)[:-1]
-    contour = lumenseg.Contour(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    contour = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     out = lumenseg.resample_contour(contour, 32)
-    gaps = np.linalg.norm(np.roll(out.points, -1, axis=0) - out.points, axis=1)
+    gaps = np.linalg.norm(np.roll(out, -1, axis=0) - out, axis=1)
     # equal by symmetry; the common arc gap approaches 2 pi r / M as the
     # source polygon converges to the circle
     assert np.abs(gaps - gaps.mean()).max() <= 1e-9
-    arc_gap = contour.perimeter() / 32
+    arc_gap = _perimeter(contour) / 32
     assert abs(arc_gap - 2 * np.pi * r / 32) <= 1e-6
 
 
@@ -171,50 +157,49 @@ def test_resample_square_hand_walk():
         [[5.0, 0.0], [5.0, 5.0], [0.0, 5.0], [-5.0, 5.0], [-5.0, 0.0],
          [-5.0, -5.0], [0.0, -5.0], [5.0, -5.0]]
     )
-    contour = lumenseg.Contour(square)
-    out = lumenseg.resample_contour(contour, 8)
-    gaps = np.linalg.norm(np.roll(out.points, -1, axis=0) - out.points, axis=1)
+    out = lumenseg.resample_contour(square, 8)
+    gaps = np.linalg.norm(np.roll(out, -1, axis=0) - out, axis=1)
     assert np.abs(gaps - 5.0).max() <= 1e-9
     # seam: maximum first coordinate, lowest index on ties
-    assert np.array_equal(out.points[0], [5.0, 0.0])
+    assert np.array_equal(out[0], [5.0, 0.0])
 
 
 def test_resample_idempotent_on_equilateral_outputs():
     r = 3.0
     theta = np.linspace(0, 2 * np.pi, 129)[:-1]
-    circle = lumenseg.Contour(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    circle = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     once = lumenseg.resample_contour(circle, 32)
     twice = lumenseg.resample_contour(once, 32)
-    assert np.abs(twice.points - once.points).max() <= 1e-9
+    assert np.abs(twice - once).max() <= 1e-9
 
-    square = lumenseg.Contour(
-        np.array([[5.0, 0.0], [5.0, 5.0], [0.0, 5.0], [-5.0, 5.0], [-5.0, 0.0],
-                  [-5.0, -5.0], [0.0, -5.0], [5.0, -5.0]]))
+    square = np.array([[5.0, 0.0], [5.0, 5.0], [0.0, 5.0], [-5.0, 5.0], [-5.0, 0.0],
+                       [-5.0, -5.0], [0.0, -5.0], [5.0, -5.0]])
     once = lumenseg.resample_contour(square, 8)
     twice = lumenseg.resample_contour(once, 8)
-    assert np.abs(twice.points - once.points).max() <= 1e-9
+    assert np.abs(twice - once).max() <= 1e-9
 
 
 def test_pipeline_circle_radial_deviation(straight_spec, straight_volume):
     # segment -> trace -> resample on a rasterized circle: radial deviation
     # from the half-level circle stays within one pixel spacing
     pts = phantom.analytic_centerline(straight_spec, 16)
-    frs = cl.frames(pts)
-    plane = slicer.SlicePlane(frs[8], half_extent=4 * straight_spec.base_radius_mm, n_pix=64)
-    slc = slicer.extract_slice(straight_volume, plane)
-    c = (plane.n_pix - 1) // 2
-    mask = lumenseg.segment_slice(slc, (c, c))
-    contour = lumenseg.resample_contour(lumenseg.trace_boundary(mask, plane), 32)
+    rs = cl.frames(pts)
+    half_extent = 4 * straight_spec.base_radius_mm
+    pixels = slicer.extract_slice(straight_volume, pts[8], rs[8], half_extent, 64)
+    c = (64 - 1) // 2
+    mask, _ = lumenseg.segment_slice(pixels, (c, c))
+    ds = slicer.pixel_spacing(half_extent, 64)
+    contour = lumenseg.resample_contour(lumenseg.trace_boundary(mask, ds), 32)
     r_half = straight_spec.base_radius_mm + straight_spec.wall_softness / 2.0
-    radial = np.linalg.norm(contour.points, axis=1)
-    assert np.abs(radial - r_half).max() <= plane.pixel_spacing
+    radial = np.linalg.norm(contour, axis=1)
+    assert np.abs(radial - r_half).max() <= ds
 
 
 def test_contour_invariants():
-    with pytest.raises(ValueError):
-        lumenseg.Contour(np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        lumenseg.Contour(np.zeros((10, 3)))
+    with pytest.raises(ValueError, match="M >= 8"):
+        lumenseg.resample_contour(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"must be \(M, 2\)"):
+        lumenseg.resample_contour(np.zeros((10, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +224,7 @@ def _loop_prompt_seed(above, i0, j0):
     return None if best is None else (best[1], best[2])
 
 
-def _loop_resample(contour, m):
-    p = contour.points
+def _loop_resample(p, m):
     n = len(p)
     edges = np.roll(p, -1, axis=0) - p
     seg_len = np.linalg.norm(edges, axis=1)
@@ -286,14 +270,13 @@ def _prompt_cases():
 def test_prompt_search_matches_loop():
     seen = {"found": 0, "failed": 0}
     for pixels, prompt in _prompt_cases():
-        slc = slicer.Slice(_plane(n_pix=pixels.shape[0]), pixels)
         want = _loop_prompt_seed(pixels >= 0.5, *prompt)
         if want is None:
             with pytest.raises(lumenseg.SegmentationFailed):
-                lumenseg.segment_slice(slc, prompt)
+                lumenseg.segment_slice(pixels, prompt)
             seen["failed"] += 1
         else:
-            assert lumenseg.segment_slice(slc, prompt).prompt == want
+            assert lumenseg.segment_slice(pixels, prompt)[1] == want
             seen["found"] += 1
     assert seen["found"] > 1000 and seen["failed"] > 50
 
@@ -322,7 +305,6 @@ def test_resample_matches_loop_bytes():
     zero_edges = 0
     for pts, m in _resample_cases():
         zero_edges += int((np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) == 0).sum())
-        contour = lumenseg.Contour(pts)
-        got = lumenseg.resample_contour(contour, m).points
-        assert got.tobytes() == _loop_resample(contour, m).tobytes()
+        got = lumenseg.resample_contour(pts, m)
+        assert got.tobytes() == _loop_resample(pts, m).tobytes()
     assert zero_edges > 1000

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from vesselmesh import meshkit, phantom
 from vesselmesh.volume import sample_trilinear
@@ -330,7 +331,7 @@ def _dense_rasterize(spec):
             z1 = min(z0 + 16, nz)
             gz, gy, gx = np.meshgrid(zs[z0:z1], ys, xs, indexing="ij")
             query = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-            d, s_near = phantom._distance_to_curve(query, s_dense, pts_dense)
+            d, s_near = phantom._distance_to_curve(query, s_dense, pts_dense, cKDTree(pts_dense))
             val = np.clip(1.0 - (d - radius(s_near)) / w, 0.0, 1.0)
             block = intensity[z0:z1].reshape(-1)
             np.maximum(block, val, out=block)
@@ -385,9 +386,9 @@ def test_band_queries_a_fraction_of_the_voxels(monkeypatch, shape):
     rows = []
     distance = phantom._distance_to_curve
 
-    def counting(query, s, pts):
+    def counting(query, s, pts, tree):
         rows.append(len(query))
-        return distance(query, s, pts)
+        return distance(query, s, pts, tree)
 
     monkeypatch.setattr(phantom, "_distance_to_curve", counting)
     spec = phantom.PhantomSpec(shape=shape)

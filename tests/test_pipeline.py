@@ -346,11 +346,42 @@ def test_readme_example_config_resolves():
     ({"surface": [64, 64]}, "surface"),
     ({"phantom": {"shape": "straight", "base_radius": 5.0}}, "base_radius"),
     ({"family": {"dims": [32, 32.5, 32]}}, "family.dims"),
+    ({"centerline": {"source": "csv", "k": 16}}, "centerline.path"),
+    ({"centerline": {"source": "cdm", "k": 16}}, "centerline.checkpoint"),
+    ({"centerline": {"source": "spline", "k": 16}}, "centerline.source"),
 ])
 def test_bad_config_fails_before_any_file(tmp_path, override, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         pipeline.run_pipeline(_tiny_config(**override), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"phantom": _tiny_config()["phantom"]}, "checkpoint"),
+    ({"checkpoint": "model"}, "volume.path"),
+])
+def test_sample_without_its_inputs_fails_before_any_file(tmp_path, config, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        pipeline.sample_cdm(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_mask_of_wrong_shape_is_a_segment_error(tmp_path):
+    cfg = _tiny_config()
+    pipeline.stage_volume(cfg, tmp_path)
+    pipeline.stage_centerline(cfg, tmp_path)
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for i, n in enumerate((64, 48)):  # slice.n_pix is 64: station 1 is wrong
+        rows = ["P2", f"{n} {n}", "255"] + [" ".join(["255"] * n)] * n
+        (masks / f"station_{i:03d}.pgm").write_text("\n".join(rows) + "\n")
+    cfg["contours"] = {"points": 32, "masks_dir": str(masks)}
+    with pytest.raises(StageError) as err:
+        pipeline.stage_segment(cfg, tmp_path)
+    assert err.value.stage == "segment"
+    assert str(err.value) == ("mask station_001.pgm shape (48, 48) does not match "
+                              "slice resolution (64, 64)")
+    assert not (tmp_path / "contours_raw.json").exists()
 
 
 def test_numbers_widen_to_float_and_tuples_take_lists():
@@ -397,5 +428,4 @@ def test_slice_extent_follows_the_volume_bump(tmp_path, shape, amplitude, extent
     cfg["phantom"] = {**cfg["phantom"], "shape": shape, "bump_amplitude": amplitude}
     pipeline.stage_volume(cfg, tmp_path)
     pipeline.stage_centerline(cfg, tmp_path)
-    _, planes = pipeline._slice_geometry(cfg, tmp_path)
-    assert {plane.half_extent for plane in planes} == {extent}
+    assert pipeline._slice_geometry(cfg, tmp_path)[3] == extent
