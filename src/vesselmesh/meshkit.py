@@ -7,6 +7,7 @@ oriented triangles and no boundary loops remain.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -614,25 +615,34 @@ def merge_branches(main: TriMesh, branch: TriMesh) -> tuple[TriMesh, JunctionRep
 
 def write_obj(mesh: TriMesh, path) -> None:
     """ASCII OBJ, 9 significant digits, 1-based face indices."""
-    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices.tolist()]
-    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    v, t = mesh.vertices, mesh.triangles + 1
+    text = ("v %.9g %.9g %.9g\n" * len(v)) % tuple(v.ravel().tolist())
+    text += ("f %d %d %d\n" * len(t)) % tuple(t.ravel().tolist())
+    Path(path).write_text(text or "\n")
 
 
 def read_obj(path) -> TriMesh:
-    verts = []
-    tris = []
+    """ASCII OBJ: the first three values of each ``v`` and ``f`` line.
+
+    A face index keeps only its vertex part (``f a/b/c``, ``f a//c``); all
+    other lines are ignored.  A ``v`` or ``f`` line with fewer than three
+    values raises ``ValueError``.
+    """
+    rows = {"v": [], "f": []}
     for line in Path(path).read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append(parts[1:4])
-        elif parts[0] == "f":
-            tris.append([p.split("/")[0] for p in parts[1:4]])
-    if not verts or not tris:
+        head = line.split(None, 1)
+        if head and head[0] in rows:
+            rows[head[0]].append(line)
+    if not rows["v"] or not rows["f"]:
         raise ValueError(f"no mesh data in {path}")
-    return TriMesh(np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64) - 1)
+    # an index token keeps its text up to the first "/"; a bare "/x" stays and fails
+    faces = re.sub(r"(?<=\S)/\S*", "", "\n".join(rows["f"])).split("\n")
+    try:
+        verts = np.loadtxt(rows["v"], usecols=(1, 2, 3), comments=None, ndmin=2)
+        tris = np.loadtxt(faces, dtype=np.int64, usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"bad v or f line in {path}: {exc}") from exc
+    return TriMesh(verts, tris - 1)
 
 
 # one binary STL record: facet normal, three vertices, attribute byte count

@@ -383,17 +383,31 @@ def eval_surface(surface: NurbsSurface, u: float, v: float) -> np.ndarray:
 
 
 def eval_surface_grid(surface: NurbsSurface, us, vs) -> np.ndarray:
-    """Evaluate on a (len(us), len(vs)) parameter grid; v wraps if periodic."""
+    """Evaluate on a (len(us), len(vs)) parameter grid; v wraps if periodic.
+
+    Sums only the (degree_u+1)(degree_v+1) nonzero basis products per
+    point, u term outer, v term inner, each as (bu * wcp) * bv.  These are
+    the order and the products of the dense contraction over full basis
+    matrices (the reference in tests/test_nurbs.py), whose other terms are
+    exact zeros, so both give the same bits.
+    """
     vlo, vhi = surface.domain_v()
     vs = np.asarray(vs, dtype=np.float64)
     if surface.knots_v.style == "periodic":
         vs = vlo + (vs - vlo) % (vhi - vlo)
-    m, n = surface.net_dims
-    bu = basis_matrix(surface.knots_u.values, surface.degree_u, m, us)
-    bv = basis_matrix(surface.knots_v.values, surface.degree_v, n, vs)
-    wcp = surface.control_points * surface.weights[:, :, None]
-    num = np.einsum("um,mnk,vn->uvk", bu, wcp, bv)
-    den = np.einsum("um,mn,vn->uv", bu, surface.weights, bv)
+    pu, pv = surface.degree_u, surface.degree_v
+    su, bu = basis_functions(surface.knots_u.values, pu, np.atleast_1d(us))
+    sv, bv = basis_functions(surface.knots_v.values, pv, np.atleast_1d(vs))
+    w = surface.weights
+    wcp = surface.control_points * w[:, :, None]
+    num = np.zeros((len(su), len(sv), 3))
+    den = np.zeros((len(su), len(sv)))
+    for i in range(pu + 1):
+        rows, bu_i = (su - pu + i)[:, None], bu[:, i, None]
+        for j in range(pv + 1):
+            cols, bv_j = sv - pv + j, bv[:, j]
+            num += bu_i[:, :, None] * wcp[rows, cols] * bv_j[:, None]
+            den += bu_i * w[rows, cols] * bv_j
     return num / den[:, :, None]
 
 

@@ -77,6 +77,16 @@ _DEFAULTS = {
 # reads the phantom)
 _CENTERLINE_INPUT = {"analytic": None, "csv": "path", "cdm": "checkpoint"}
 
+# the limits that a stage checks too (dotted key -> test, what it needs):
+# resolving checks them first, so a bad value fails before any file is written
+_LIMITS = {
+    "slice.n_pix": (lambda v: v >= 16, "at least 16"),
+    "slice.half_extent_mm": (lambda v: v is None or _cast(v, 1.0) > 0, "positive"),
+    "contours.points": (lambda v: v >= 8, "at least 8"),
+    "surface.tess_u": (lambda v: v >= 16, "at least 16"),
+    "surface.tess_v": (lambda v: v >= 16, "at least 16"),
+}
+
 
 def _cast(value, default):
     """value as its default's type, which must accept it (a bool is no number
@@ -96,8 +106,9 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
     """The config with every default filled in and every value cast.
 
     Raises ValueError naming the dotted path of the first non-object
-    section, unknown key or value of the wrong type, or the centerline key
-    that the chosen ``centerline.source`` needs and the config leaves out.
+    section, unknown key, value of the wrong type or value outside its
+    ``_LIMITS``, or the centerline key that the chosen
+    ``centerline.source`` needs and the config leaves out.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
@@ -114,6 +125,9 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
             if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
                 value = phantom.PhantomSpec.from_dict(value)
             resolved[key] = value if default is None else _cast(value, default)
+            test, need = _LIMITS.get(where + key, (None, None))
+            if test is not None and not test(resolved[key]):
+                raise ValueError(f"must be {need}, got {value!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {where}{key}: {exc}") from exc
     if defaults is _DEFAULTS:
@@ -142,6 +156,8 @@ def load_config(path) -> dict:
 def stage_volume(config: dict, out: Path) -> Path:
     """Materialize the input volume (rasterize a phantom or load raw files)."""
     config = resolve_config(config)
+    if config["phantom"] is None and config["volume"]["path"] is None:
+        raise ValueError("config needs a phantom section or volume.path")
     out.mkdir(parents=True, exist_ok=True)
     vol_path = out / "volume.f32raw"
     with _stage("volume"):
@@ -155,7 +171,7 @@ def stage_volume(config: dict, out: Path) -> Path:
             write_obj(gt, out / "gt_surface.obj")
             k = config["centerline"]["k"]
             cl.write_csv(phantom.analytic_centerline(spec, k), out / "gt_centerline.csv")
-        elif config["volume"]["path"] is not None:
+        else:
             src = Path(config["volume"]["path"])
             if not src.exists():
                 raise FileNotFoundError(f"volume payload {src} not found")
@@ -164,8 +180,6 @@ def stage_volume(config: dict, out: Path) -> Path:
             if not (0.0 <= lo and hi <= 1.0):  # false for NaN too
                 raise ValueError(f"raw volume must hold finite values in [0, 1], got min {lo} max {hi}")
             store_raw(vol, vol_path)
-        else:
-            raise KeyError("config needs a 'phantom' or 'volume' section")
     return vol_path
 
 

@@ -224,6 +224,14 @@ def _with(section, key, value):
     (["pipeline"], _with("centerline", "source", "cdm"), "centerline.checkpoint"),
     (["pipeline"], _with("centerline", "source", "spline"), "centerline.source"),
     (["centerline"], _with("centerline", "source", "csv"), "centerline.path"),
+    (["pipeline"], {**_tiny_dict(), "slice": {"n_pix": 12}}, "slice.n_pix"),
+    (["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": 0.0}}, "slice.half_extent_mm"),
+    (["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": -5}}, "slice.half_extent_mm"),
+    (["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": "wide"}}, "slice.half_extent_mm"),
+    (["pipeline"], _with("surface", "tess_u", 15), "surface.tess_u"),
+    (["pipeline"], _with("surface", "tess_v", 8), "surface.tess_v"),
+    (["phantom"], _with("surface", "tess_v", 8), "surface.tess_v"),
+    (["pipeline"], _with("contours", "points", 7), "contours.points"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"
@@ -250,6 +258,17 @@ def test_cdm_sample_without_its_inputs_exits_2(tmp_path, cfg, named):
     doc = json.loads(res.stdout.strip().splitlines()[-1])
     assert doc["stage"] == "config"
     assert named in doc["error"]
+    assert not any(out.iterdir())  # the CLI made the directory, no stage wrote to it
+
+
+def test_config_without_volume_source_exits_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"centerline": {"k": 16}}))
+    out = tmp_path / "out"
+    res = _run("pipeline", "--config", str(path), "--out", str(out))
+    assert res.returncode == 2, res.stdout + res.stderr
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc == {"stage": "config", "error": "config needs a phantom section or volume.path"}
     assert not any(out.iterdir())  # the CLI made the directory, no stage wrote to it
 
 

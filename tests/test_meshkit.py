@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,122 @@ def test_stl_length_errors(tmp_path):
     (tmp_path / "cut.stl").write_bytes(raw[:-1])
     with pytest.raises(ValueError, match="!= expected"):
         meshkit.read_stl(tmp_path / "cut.stl")
+
+
+def _write_obj_lines(mesh, path):
+    """The line-by-line OBJ writer that the one-format writer replaced, verbatim."""
+    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_obj_split(path):
+    """The split-every-line OBJ reader that the loadtxt reader replaced, verbatim."""
+    verts = []
+    tris = []
+    for line in Path(path).read_text().splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            verts.append(parts[1:4])
+        elif parts[0] == "f":
+            tris.append([p.split("/")[0] for p in parts[1:4]])
+    if not verts or not tris:
+        raise ValueError(f"no mesh data in {path}")
+    return meshkit.TriMesh(np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64) - 1)
+
+
+def _random_mesh(rng, n_vertices, n_triangles):
+    verts = rng.normal(0.0, 1.0, (n_vertices, 3)) * 10.0 ** rng.integers(-12, 13, (n_vertices, 3))
+    return meshkit.TriMesh(verts, rng.integers(0, n_vertices, (n_triangles, 3)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_write_obj_bytes_match_line_writer(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    mesh = _random_mesh(rng, 200, 300)
+    special = np.array([[-0.0, 0.0, 1e-300], [1e300, -1e300, -1e-300], [0.1, 1 / 3, -2.5e-7],
+                        [np.inf, -np.inf, np.nan], [5e-324, 123456789.5, 1e16]])
+    big = meshkit.TriMesh(np.vstack([mesh.vertices, special, rng.normal(size=(123_456, 3))]),
+                          np.vstack([mesh.triangles, [[123_000, 123_458, 200]], [[5, 99_999, 100_000]]]))
+    for i, m in enumerate((mesh, big, _cube(), meshkit.TriMesh(np.zeros((0, 3)), np.zeros((0, 3))))):
+        meshkit.write_obj(m, tmp_path / f"new{i}.obj")
+        _write_obj_lines(m, tmp_path / f"old{i}.obj")
+        assert (tmp_path / f"new{i}.obj").read_bytes() == (tmp_path / f"old{i}.obj").read_bytes(), i
+
+
+def _assert_same_read(path):
+    new, old = meshkit.read_obj(path), _read_obj_split(path)
+    assert np.array_equal(new.vertices, old.vertices)
+    assert np.array_equal(new.triangles, old.triangles)
+
+
+def test_read_obj_matches_split_reader_on_written_meshes(tmp_path):
+    rng = np.random.default_rng(7)
+    for i, mesh in enumerate((_random_mesh(rng, 500, 900), _cube(scale=3.3))):
+        meshkit.write_obj(mesh, tmp_path / f"{i}.obj")
+        _assert_same_read(tmp_path / f"{i}.obj")
+
+
+@pytest.mark.parametrize("text", [
+    # faces with texture and normal indices
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/4/7 2/5/8 3/6/9\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1//7 2//8 3//9\n",
+    # blank lines, comment lines and inline comments
+    "# header\n\nv 0 0 0 # first\n\n   \nv 1 0 0\n#v 9 9 9\nv 0 1 0\nf 1 2 3 # tri\n\n",
+    # lines the reader ignores
+    "o tube\ng part\nv 0 0 0\nvn 0 0 1\nvt 0.5 0.5\nv 1 0 0\nv 0 1 0\nvn 0 0 1\ns off\nf 1 2 3\n",
+    # tabs, leading spaces and CRLF line ends
+    "\tv\t0.5 0 0\r\n  v 1  0\t0\r\nv 0 1 0\r\n \tf 1\t2  3\r\n",
+    # a fourth (w) vertex value, and a quad: the first three values are kept
+    "v 0 0 0 1.0\nv 1 0 0 1.0\nv 0 1 0 1.0\nv 1 1 0 1.0\nf 1 2 4 3\nf 1 3 4\n",
+    # exponents, signs and many digits
+    "v -1.5e-3 +2.25E+2 0.333333333333333314829616256247\nv 1e300 -0 1e-300\nv 7 8 9\nf 3 1 2\n",
+])
+def test_read_obj_matches_split_reader(tmp_path, text):
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    _assert_same_read(path)
+
+
+@pytest.mark.parametrize("text", [
+    "v 0 0\nv 1 0\nv 0 1\nf 1 2 3\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1\nf 1 2 3\n",
+    "v\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+])
+def test_read_obj_rejects_short_vertex_line(tmp_path, text):
+    path = tmp_path / "m.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad v or f line"):
+        meshkit.read_obj(path)
+
+
+@pytest.mark.parametrize("text", [
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3/1/1 2/1/1\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf /1 2 3 1\n",
+])
+def test_read_obj_rejects_short_face_line(tmp_path, text):
+    path = tmp_path / "m.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad v or f line"):
+        meshkit.read_obj(path)
+
+
+def test_read_obj_does_not_reshape_short_lines(tmp_path):
+    # six 2-value vertices and three 2-index faces once read as 4 vertices and 2 triangles
+    lines = [f"v {i} {i + 1}" for i in range(6)] + ["f 1 2", "f 3 2", "f 3 4"]
+    path = tmp_path / "m.obj"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_obj_split(path).n_triangles == 2
+    with pytest.raises(ValueError, match="bad v or f line"):
+        meshkit.read_obj(path)
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n", "v 0 0 0\nv 1 0 0\n", "vn 0 0 1\nf 1 2 3\n"])
+def test_read_obj_without_mesh_data(tmp_path, text):
+    path = tmp_path / "m.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="no mesh data"):
+        meshkit.read_obj(path)

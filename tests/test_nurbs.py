@@ -366,3 +366,53 @@ def test_solve_checked_scales_each_column(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", off_in_small_column)
     with pytest.raises(nurbs.SingularSystemError, match="residual"):
         nurbs._solve_checked(matrix, rhs)
+
+
+def _einsum_surface_grid(surface, us, vs):
+    """The dense-basis grid evaluator that the sparse sum replaced, verbatim."""
+    vlo, vhi = surface.domain_v()
+    vs = np.asarray(vs, dtype=np.float64)
+    if surface.knots_v.style == "periodic":
+        vs = vlo + (vs - vlo) % (vhi - vlo)
+    m, n = surface.net_dims
+    bu = nurbs.basis_matrix(surface.knots_u.values, surface.degree_u, m, us)
+    bv = nurbs.basis_matrix(surface.knots_v.values, surface.degree_v, n, vs)
+    wcp = surface.control_points * surface.weights[:, :, None]
+    num = np.einsum("um,mnk,vn->uvk", bu, wcp, bv)
+    den = np.einsum("um,mn,vn->uv", bu, surface.weights, bv)
+    return num / den[:, :, None]
+
+
+def _random_skin(rng, k, m):
+    theta = 2 * np.pi * np.arange(m) / m
+    r = 3.0 + rng.uniform(-0.5, 0.5, (k, m))
+    z = np.linspace(0.0, 30.0, k)[:, None] + rng.uniform(-0.2, 0.2, (k, m))
+    sway = rng.normal(0.0, 0.3, (k, 1))
+    return nurbs.skin_surface(np.stack([r * np.cos(theta) + sway, r * np.sin(theta), z], axis=-1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_matches_dense_einsum_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    surf = _random_skin(rng, int(rng.integers(4, 41)), int(rng.integers(8, 65)))
+    if seed == 0:  # random positive non-unit weights, wrapped like the columns
+        w = rng.uniform(0.3, 3.0, surf.weights.shape)
+        w[:, -surf.degree_v:] = w[:, :surf.degree_v]
+        surf = nurbs.NurbsSurface(surf.degree_u, surf.degree_v, surf.knots_u, surf.knots_v,
+                                  surf.control_points, w)
+    for nu, nv in ((16, 16), (48, 48), (64, 64), (17, 33), (128, 96), (256, 256)):
+        us = np.linspace(0.0, 1.0, nu)
+        vs = np.arange(nv) / nv
+        assert np.array_equal(nurbs.eval_surface_grid(surf, us, vs), _einsum_surface_grid(surf, us, vs))
+    # off-grid parameters in any order, v beyond the period
+    us, vs = rng.uniform(0, 1, 37), rng.uniform(-1, 2, 29)
+    assert np.array_equal(nurbs.eval_surface_grid(surf, us, vs), _einsum_surface_grid(surf, us, vs))
+
+
+def test_grid_uses_no_einsum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_surface_grid called np.einsum")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    surf = nurbs.skin_surface(_circle_contours(3.0, 16, np.linspace(0, 10, 5)))
+    assert nurbs.tessellate(surf, 16, 16).n_triangles == 2 * 15 * 16 + 2 * 16

@@ -349,11 +349,34 @@ def test_readme_example_config_resolves():
     ({"centerline": {"source": "csv", "k": 16}}, "centerline.path"),
     ({"centerline": {"source": "cdm", "k": 16}}, "centerline.checkpoint"),
     ({"centerline": {"source": "spline", "k": 16}}, "centerline.source"),
+    ({"slice": {"n_pix": 15}}, "slice.n_pix"),
+    ({"slice": {"half_extent_mm": -1.0}}, "slice.half_extent_mm"),
+    ({"surface": {"tess_u": 8}}, "surface.tess_u"),
+    ({"surface": {"tess_v": 12}}, "surface.tess_v"),
+    ({"contours": {"points": 4}}, "contours.points"),
 ])
 def test_bad_config_fails_before_any_file(tmp_path, override, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         pipeline.run_pipeline(_tiny_config(**override), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_volume_source_is_required_before_any_file(tmp_path):
+    config = {"centerline": {"k": 16}}
+    for run in (pipeline.stage_volume, pipeline.run_pipeline):
+        with pytest.raises(ValueError, match="config needs a phantom section or volume.path"):
+            run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_limits_pass_at_their_bounds():
+    resolved = pipeline.resolve_config({
+        "slice": {"n_pix": 16, "half_extent_mm": 1},
+        "contours": {"points": 8},
+        "surface": {"tess_u": 16, "tess_v": 16},
+    })
+    assert resolved["slice"] == {"half_extent_mm": 1, "n_pix": 16}
+    assert resolved["contours"]["points"] == 8
 
 
 @pytest.mark.parametrize("config, key", [
