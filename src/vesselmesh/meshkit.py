@@ -113,7 +113,7 @@ def _edge_table(triangles: np.ndarray):
     return directed, edges, first, count, direction
 
 
-def validate(mesh: TriMesh, check_self_intersections: bool = True) -> TopologyReport:
+def validate(mesh: TriMesh) -> TopologyReport:
     """Classify mesh topology.
 
     An edge is manifold iff shared by exactly two triangles with opposite
@@ -142,7 +142,6 @@ def validate(mesh: TriMesh, check_self_intersections: bool = True) -> TopologyRe
     n_ref_vertices = len(np.unique(mesh.triangles))
     euler = n_ref_vertices - len(edges) + mesh.n_triangles
     manifold = non_manifold == 0
-    self_x = count_self_intersections(mesh) if check_self_intersections else 0
     return TopologyReport(
         watertight=manifold and loops == 0,
         manifold=manifold,
@@ -150,7 +149,7 @@ def validate(mesh: TriMesh, check_self_intersections: bool = True) -> TopologyRe
         non_manifold_edge_count=non_manifold,
         euler_characteristic=euler,
         consistent_orientation=manifold,
-        self_intersection_count=self_x,
+        self_intersection_count=count_self_intersections(mesh),
     )
 
 

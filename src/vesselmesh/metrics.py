@@ -122,17 +122,16 @@ def area_uniform_samples(mesh, n: int, seed: int) -> np.ndarray:
     return bc0[:, None] * t[:, 0] + bc1[:, None] * t[:, 1] + bc2[:, None] * t[:, 2]
 
 
-def mesh_metric_report(
-    candidate, reference, emd_samples: int = 256, seed: int = 0, inputs=None
-) -> dict:
-    """CD/HD on mesh vertex sets plus exact EMD on seeded area-uniform samples.
+def mesh_metric_report(candidate, reference, seed: int = 0, inputs=None) -> dict:
+    """CD/HD on mesh vertex sets plus exact EMD on seeded area-uniform samples,
+    as many per mesh as the EMD cap allows.
 
     Mask metrics are null in mesh-to-mesh reports; see mask_metric_report.
     """
     cd_mm = chamfer(candidate.vertices, reference.vertices)
     hd_mm = hausdorff(candidate.vertices, reference.vertices)
-    sa = area_uniform_samples(candidate, emd_samples, seed)
-    sb = area_uniform_samples(reference, emd_samples, seed + 1)
+    sa = area_uniform_samples(candidate, _EMD_CAP, seed)
+    sb = area_uniform_samples(reference, _EMD_CAP, seed + 1)
     return {
         "cd_mm": cd_mm,
         "hd_mm": hd_mm,
@@ -141,7 +140,7 @@ def mesh_metric_report(
         "asd_mm": None,
         "hd_mask_mm": None,
         "inputs": inputs or {},
-        "seeds": {"emd_candidate": seed, "emd_reference": seed + 1, "emd_samples": emd_samples},
+        "seeds": {"emd_candidate": seed, "emd_reference": seed + 1, "emd_samples": _EMD_CAP},
     }
 
 

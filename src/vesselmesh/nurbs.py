@@ -1,10 +1,10 @@
-"""B-spline basis evaluation, global curve interpolation, surface skinning.
+"""B-spline basis evaluation, surface skinning, grid evaluation, tessellation.
 
-Curves and surfaces follow the classical control-point / knot-vector
-formulation.  Closed directions use a periodic uniform knot vector with
-wrapped control points (the last ``degree`` control columns replicate the
-first ones), so evaluation needs no special casing at the seam and the
-closure is C^(degree-1).
+Surfaces follow the classical control-point / knot-vector formulation.  The
+closed direction uses a periodic uniform knot vector with wrapped control
+points (the last ``degree`` control columns replicate the first ones), so
+evaluation needs no special casing at the seam and the closure is
+C^(degree-1).
 
 All interpolation solves are dense LU with partial pivoting; every solve is
 followed by a residual check (max-norm <= 1e-9) so an ill-conditioned
@@ -23,6 +23,9 @@ from .meshkit import loft_rings
 
 _RESIDUAL_TOL = 1e-9
 _DOMAIN_TOL = 1e-12
+# degree along u: the Bessel system's n + 2 columns come from n + 2 * degree
+# knots (n samples, two end derivatives), which agree at degree 3 only
+_DEGREE_U = 3
 
 
 class SingularSystemError(RuntimeError):
@@ -148,68 +151,15 @@ def _periodic_system(m: int, degree: int):
     return knots, full[:, :m]
 
 
-# ---------------------------------------------------------------------------
-# curves
-
-
-@dataclass(frozen=True)
-class NurbsCurve:
-    degree: int
-    knots: KnotVector
-    control_points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        cp = np.asarray(self.control_points, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        n_ctrl = len(self.knots.values) - self.degree - 1
-        if len(cp) != n_ctrl or len(w) != n_ctrl:
-            raise ValueError(
-                f"control point count {len(cp)} inconsistent with "
-                f"{len(self.knots.values)} knots at degree {self.degree}"
-            )
-        if (w <= 0).any():
-            raise ValueError("weights must be strictly positive")
-        self.knots.check_style(self.degree)
-        object.__setattr__(self, "control_points", cp)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def periodic(self) -> bool:
-        return self.knots.style == "periodic"
-
-    def domain(self) -> tuple[float, float]:
-        kv = self.knots.values
-        return float(kv[self.degree]), float(kv[len(self.control_points)])
-
-    def evaluate(self, u: float) -> np.ndarray:
-        lo, hi = self.domain()
-        if self.periodic:
-            u = lo + (u - lo) % (hi - lo)
-        span, vals = basis_functions(self.knots.values, self.degree, u)
-        cp = self.control_points[span - self.degree : span + 1]
-        w = self.weights[span - self.degree : span + 1]
-        num = (vals * w) @ cp
-        den = float(vals @ w)
-        return num / den
-
-
-def chord_parameters(points: np.ndarray, centripetal: bool) -> np.ndarray:
-    d = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    if centripetal:
-        d = np.sqrt(d)
+def chord_parameters(points: np.ndarray) -> np.ndarray:
+    """Centripetal parameters in [0, 1]: cumulative square roots of the chords."""
+    d = np.sqrt(np.linalg.norm(np.diff(points, axis=0), axis=1))
     total = d.sum()
     if total <= 0:
         raise SingularSystemError("coincident interpolation points")
     t = np.concatenate([[0.0], np.cumsum(d)]) / total
     t[-1] = 1.0
     return t
-
-
-def _averaged_knots(t: np.ndarray, degree: int) -> np.ndarray:
-    n = len(t)
-    inner = [t[j : j + degree].mean() for j in range(1, n - degree)]
-    return np.concatenate([np.zeros(degree + 1), inner, np.ones(degree + 1)])
 
 
 def _solve_checked(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -240,8 +190,8 @@ def _bessel_derivative(t0, t1, t2, q0, q1, q2, at: float) -> np.ndarray:
     return d0 * q0 + d1 * q1 + d2 * q2
 
 
-def _bessel_system(degree: int, t: np.ndarray, q: np.ndarray):
-    """Clamped interpolation of samples q at parameters t with Bessel end derivatives.
+def _bessel_system(t: np.ndarray, q: np.ndarray):
+    """Clamped cubic interpolation of samples q at parameters t with Bessel end derivatives.
 
     Returns the clamped knot vector with t's inner values as knots, and the
     (n+2) x (n+2) collocation rows and right-hand sides: the point at t[0],
@@ -249,7 +199,7 @@ def _bessel_system(degree: int, t: np.ndarray, q: np.ndarray):
     point there.  q holds the n samples along its first axis; any trailing
     axes (columns, coordinates) are carried through.
     """
-    n = len(t)
+    n, degree = len(t), _DEGREE_U
     knots = np.concatenate([np.zeros(degree + 1), t[1:-1], np.ones(degree + 1)])
     rows = np.zeros((n + 2, n + 2))
     rows[[0, *range(2, n), n + 1]] = basis_matrix(knots, degree, n + 2, t)
@@ -260,54 +210,6 @@ def _bessel_system(degree: int, t: np.ndarray, q: np.ndarray):
     d1 = _bessel_derivative(t[-3], t[-2], t[-1], q[-3], q[-2], q[-1], t[-1])
     rhs = np.concatenate([q[:1], d0[None], q[1:-1], d1[None], q[-1:]])
     return knots, rows, rhs
-
-
-def interpolate_curve(
-    points,
-    degree: int = 3,
-    parameterization: str = "centripetal",
-    closed: bool = False,
-    clamp_ends: bool = False,
-) -> NurbsCurve:
-    """Global curve interpolation; all weights are 1.
-
-    Open curves use chord or centripetal parameters with knot averaging and
-    a clamped knot vector; the curve passes through every input point.
-    With ``clamp_ends`` two end-derivative rows (Bessel estimates from the
-    first/last three points) are added, yielding n+2 control points.
-
-    Closed curves use uniform parameters on a periodic uniform knot vector
-    with wrapped control-point unknowns; do not repeat the first point.
-    """
-    q = np.asarray(points, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != 3:
-        raise ValueError(f"points must be (n, 3), got {q.shape}")
-    n = len(q)
-    if n < degree + 1:
-        raise ValueError(f"need at least {degree + 1} points for degree {degree}")
-    if parameterization not in ("chord", "centripetal"):
-        raise ValueError(f"unknown parameterization {parameterization!r}")
-
-    if closed:
-        knots, amat = _periodic_system(n, degree)
-        ctrl_core = _solve_checked(amat, q)
-        ctrl = np.vstack([ctrl_core, ctrl_core[:degree]])
-        return NurbsCurve(degree, KnotVector(knots, "periodic"), ctrl, np.ones(len(ctrl)))
-
-    t = chord_parameters(q, parameterization == "centripetal")
-    if np.diff(t).min() < 1e-12:
-        raise SingularSystemError("coincident interpolation parameters")
-
-    if not clamp_ends:
-        knots = _averaged_knots(t, degree)
-        nmat = basis_matrix(knots, degree, n, t)
-        ctrl = _solve_checked(nmat, q)
-        return NurbsCurve(degree, KnotVector(knots, "clamped"), ctrl, np.ones(n))
-
-    # end-derivative (Bessel) conditions: n + 2 unknowns
-    knots, rows, rhs = _bessel_system(degree, t, q)
-    ctrl = _solve_checked(rows, rhs)
-    return NurbsCurve(degree, KnotVector(knots, "clamped"), ctrl, np.ones(n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +267,6 @@ class NurbsSurface:
         return float(kv[self.degree_v]), float(kv[self.control_points.shape[1]])
 
 
-def eval_surface(surface: NurbsSurface, u: float, v: float) -> np.ndarray:
-    """Rational point evaluation: weighted basis blend over the control net."""
-    ulo, uhi = surface.domain_u()
-    vlo, vhi = surface.domain_v()
-    if surface.knots_v.style == "periodic":
-        v = vlo + (v - vlo) % (vhi - vlo)
-    su, bu = basis_functions(surface.knots_u.values, surface.degree_u, u)
-    sv, bv = basis_functions(surface.knots_v.values, surface.degree_v, v)
-    cp = surface.control_points[
-        su - surface.degree_u : su + 1, sv - surface.degree_v : sv + 1
-    ]
-    w = surface.weights[su - surface.degree_u : su + 1, sv - surface.degree_v : sv + 1]
-    num = np.einsum("i,j,ijk->k", bu, bv, cp * w[:, :, None])
-    den = float(bu @ w @ bv)
-    return num / den
-
-
 def eval_surface_grid(surface: NurbsSurface, us, vs) -> np.ndarray:
     """Evaluate on a (len(us), len(vs)) parameter grid; v wraps if periodic.
 
@@ -411,13 +296,15 @@ def eval_surface_grid(surface: NurbsSurface, us, vs) -> np.ndarray:
     return num / den[:, :, None]
 
 
-def skin_surface(contours, degree_u: int = 3, degree_v: int = 3) -> NurbsSurface:
+def skin_surface(contours, degree_v: int = 3) -> NurbsSurface:
     """Skin a (K, M, 3) stack of aligned closed contours into a surface.
 
-    Stage 1 interpolates each contour with a periodic curve along v; stage 2
-    interpolates corresponding control points across stations along u with
-    clamped (Bessel end-tangent) curves.  The surface interpolates every
-    input contour point.  For K stations of M points at cubic degrees the
+    Stage 1 interpolates each contour with a periodic curve of degree_v
+    along v; stage 2 interpolates corresponding control points across
+    stations along u with clamped cubic (Bessel end-tangent) curves.  The
+    surface interpolates every input contour point: contour i, point j lies
+    at (t_bar[i], j / M), t_bar being the centripetal parameters of the
+    point columns, averaged.  For K stations of M points at degree_v 3 the
     control net is (K + 2) x (M + 3).
     """
     pts = np.asarray(contours, dtype=np.float64)
@@ -434,17 +321,21 @@ def skin_surface(contours, degree_u: int = 3, degree_v: int = 3) -> NurbsSurface
     sect_ctrl = _solve_checked(amat, pts.transpose(1, 0, 2)).transpose(1, 0, 2)  # (k, m, 3)
 
     # common u parameters: centripetal per contour-point column, averaged
-    t_cols = np.stack([chord_parameters(pts[:, j, :], True) for j in range(m)])
+    t_cols = np.stack([chord_parameters(pts[:, j, :]) for j in range(m)])
     t_bar = t_cols.mean(axis=0)
     t_bar[0], t_bar[-1] = 0.0, 1.0
+    gaps = np.diff(t_bar)
+    if gaps.min() < 1e-12:
+        i = int(np.argmin(gaps))
+        raise SingularSystemError(f"stations {i} and {i + 1} coincide")
 
-    knots_u, rows, rhs = _bessel_system(degree_u, t_bar, sect_ctrl)
+    knots_u, rows, rhs = _bessel_system(t_bar, sect_ctrl)
     net = _solve_checked(rows, rhs)
 
     net_wrapped = np.concatenate([net, net[:, :degree_v, :]], axis=1)
     weights = np.ones(net_wrapped.shape[:2])
     return NurbsSurface(
-        degree_u=degree_u,
+        degree_u=_DEGREE_U,
         degree_v=degree_v,
         knots_u=KnotVector(knots_u, "clamped"),
         knots_v=KnotVector(knots_v, "periodic"),

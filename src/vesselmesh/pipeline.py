@@ -57,7 +57,7 @@ _DEFAULTS = {
     "centerline": {"source": "analytic", "k": 16, "smooth": True, "path": None, "checkpoint": None},
     "slice": {"half_extent_mm": None, "n_pix": 64},
     "contours": {"points": 32, "threshold": 0.5, "masks_dir": None},
-    "surface": {"degree_u": 3, "degree_v": 3, "tess_u": 64, "tess_v": 64, "caps": True},
+    "surface": {"degree_v": 3, "tess_u": 64, "tess_v": 64, "caps": True},
     "ground_truth": {"surface_obj": None},
     "baseline": {"iso": 0.5},
     # cdm train, then cdm sample
@@ -80,9 +80,12 @@ _CENTERLINE_INPUT = {"analytic": None, "csv": "path", "cdm": "checkpoint"}
 # the limits that a stage checks too (dotted key -> test, what it needs):
 # resolving checks them first, so a bad value fails before any file is written
 _LIMITS = {
+    "centerline.k": (lambda v: v >= 4, "at least 4"),
     "slice.n_pix": (lambda v: v >= 16, "at least 16"),
     "slice.half_extent_mm": (lambda v: v is None or _cast(v, 1.0) > 0, "positive"),
     "contours.points": (lambda v: v >= 8, "at least 8"),
+    "contours.threshold": (lambda v: 0 < v < 1, "strictly between 0 and 1"),
+    "surface.degree_v": (lambda v: v >= 1, "at least 1"),
     "surface.tess_u": (lambda v: v >= 16, "at least 16"),
     "surface.tess_v": (lambda v: v >= 16, "at least 16"),
 }
@@ -290,7 +293,7 @@ def stage_fit(config: dict, out: Path) -> Path:
     path = out / "surface.nurbs.json"
     with _stage("fit"):
         aligned = _stations(_read_json(out / "contours.json"))
-        surface = nurbs.skin_surface(aligned, degree_u=surf["degree_u"], degree_v=surf["degree_v"])
+        surface = nurbs.skin_surface(aligned, degree_v=surf["degree_v"])
         nurbs.write_surface_json(surface, path)
     return path
 

@@ -1,10 +1,10 @@
-"""3D scalar volumes: storage, world/index mapping, trilinear sampling, raw I/O.
+"""3D scalar volumes: storage, world-to-index mapping, trilinear sampling, raw I/O.
 
 World coordinates follow the voxel-center convention,
 ``world = origin + index * spacing``, so the continuous domain covered by a
 volume is the axis-aligned box spanned by the first and last voxel centers.
 Sampling outside that box clamps to the nearest boundary-face projection
-(clamp-to-edge), unless strict mode is requested.
+(clamp-to-edge).
 """
 
 from __future__ import annotations
@@ -63,29 +63,16 @@ class Volume:
         hi = lo + (n - 1.0) * np.asarray(self.spacing, dtype=np.float64)
         return lo, hi
 
-    def index_to_world(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.float64)
-        return np.asarray(self.origin) + idx * np.asarray(self.spacing)
-
     def world_to_index(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
-
-
-def from_flat(flat, dims, spacing, origin) -> Volume:
-    """Build a Volume from a flat x-fastest array and (nx, ny, nz) dims."""
-    nx, ny, nz = (int(d) for d in dims)
-    flat = np.asarray(flat, dtype=np.float32)
-    if flat.size != nx * ny * nz:
-        raise ValueError(f"data length {flat.size} does not match dims {(nx, ny, nz)}")
-    return Volume(flat.reshape(nz, ny, nx), tuple(spacing), tuple(origin))
 
 
 # (x, y, z) offsets of a cell's 8 corners, x fastest: the order of the sum in _trilinear
 _CORNERS = np.array([(x, y, z) for z in (0, 1) for y in (0, 1) for x in (0, 1)])
 
 
-def sample_trilinear(vol: Volume, points, strict: bool = False):
+def sample_trilinear(vol: Volume, points):
     """Trilinearly interpolate the volume at world points.
 
     Parameters
@@ -93,9 +80,6 @@ def sample_trilinear(vol: Volume, points, strict: bool = False):
     vol : Volume
     points : array-like
         A single (3,) world point or an (N, 3) batch, in mm.
-    strict : bool
-        If True, raise on points outside the voxel-center bounding box
-        instead of clamping to the edge.
 
     Returns
     -------
@@ -113,9 +97,6 @@ def sample_trilinear(vol: Volume, points, strict: bool = False):
 
     q = vol.world_to_index(pts)
     dims = np.array(vol.dims, dtype=np.int64)
-    if strict:
-        if (q < -1e-12).any() or (q > dims - 1 + 1e-12).any():
-            raise ValueError("sample point outside volume bounds in strict mode")
     c = _trilinear([vol.data], q[None], dims[None, None])[0]
     return float(c[0]) if single else c
 
@@ -154,21 +135,6 @@ def _trilinear(datas, q, dims) -> np.ndarray:
         + d[6] * (gf * fz)
         + d[7] * (ff * fz)
     )
-
-
-def normalize(vol: Volume) -> Volume:
-    """Affinely map intensities to [0, 1].
-
-    Raises on constant volumes (the scale is undefined).  The argmin and
-    argmax voxel locations are preserved.
-    """
-    data = vol.data.astype(np.float64)
-    lo = float(data.min())
-    hi = float(data.max())
-    if hi == lo:
-        raise ValueError("cannot normalize a constant volume")
-    out = ((data - lo) / (hi - lo)).astype(np.float32)
-    return Volume(out, vol.spacing, vol.origin)
 
 
 def store_raw(vol: Volume, path) -> None:

@@ -71,7 +71,7 @@ def test_criterion_1_trilinear_exactness():
     data = rng.random((6, 7, 8)).astype(np.float32)
     vol2 = Volume(data, (0.7, 0.8, 0.9), (-1.0, 2.0, 0.5))
     for idx in itertools.product((0, 3, 7), (0, 3, 6), (0, 2, 5)):
-        world = vol2.index_to_world(idx)
+        world = np.asarray(vol2.origin) + np.asarray(idx) * np.asarray(vol2.spacing)
         assert sample_trilinear(vol2, world) == data[idx[2], idx[1], idx[0]]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -128,29 +128,28 @@ def test_criterion_3_nurbs_suite():
     pou_err = np.abs(bu.sum(axis=1) * bv.sum(axis=1) - 1.0).max()
     assert pou_err <= 1e-12
 
-    pts = np.cumsum(rng.uniform(-1, 1, size=(12, 3)) + [0.5, 0, 0.5], axis=0)
-    t = nurbs.chord_parameters(pts, True)
-    curve = nurbs.interpolate_curve(pts, 3)
-    nmat = nurbs.basis_matrix(curve.knots.values, 3, len(curve.control_points), t)
-    resid = np.abs(nmat @ curve.control_points - pts).max()
+    # the skin interpolates every point of a noisy stack at (t_bar[i], j / 32)
+    noisy = stacks + rng.normal(scale=0.2, size=stacks.shape)
+    t_bar = np.stack([nurbs.chord_parameters(noisy[:, j]) for j in range(32)]).mean(axis=0)
+    t_bar[0], t_bar[-1] = 0.0, 1.0
+    at_points = nurbs.eval_surface_grid(nurbs.skin_surface(noisy), t_bar, np.arange(32) / 32)
+    resid = np.abs(at_points - noisy).max()
     assert resid <= 1e-9
 
     scaled = nurbs.NurbsSurface(
         surf.degree_u, surf.degree_v, surf.knots_u, surf.knots_v,
         surf.control_points, surf.weights * 10.0,
     )
-    w_err = 0.0
-    for u, v in zip(us[:100], vs[:100]):
-        w_err = max(w_err, np.abs(
-            nurbs.eval_surface(scaled, u, v) - nurbs.eval_surface(surf, u, v)
-        ).max())
+    base = nurbs.eval_surface_grid(surf, us[:100], vs[:100])
+    w_err = np.abs(nurbs.eval_surface_grid(scaled, us[:100], vs[:100]) - base).max()
     assert w_err <= 1e-12
 
     theta8 = 2 * np.pi * np.arange(8) / 8
-    circle = np.column_stack([np.cos(theta8), np.sin(theta8), np.zeros(8)])
-    pc = nurbs.interpolate_curve(circle, 3, closed=True)
-    rad = np.array([np.linalg.norm(pc.evaluate(u)[:2]) for u in np.linspace(0, 1, 2000, endpoint=False)])
-    circ_err = np.abs(rad - 1.0).max()
+    circles = np.stack([np.column_stack([np.cos(theta8), np.sin(theta8), np.full(8, z)])
+                        for z in range(5)])
+    ring = nurbs.eval_surface_grid(nurbs.skin_surface(circles), np.linspace(0, 1, 5),
+                                   np.linspace(0, 1, 2000, endpoint=False))
+    circ_err = np.abs(np.hypot(ring[..., 0], ring[..., 1]) - 1.0).max()
     assert circ_err <= 0.002
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -3,8 +3,8 @@
 The references below are the earlier scalar code, kept verbatim: the
 binary-search ``find_span``, the scalar Cox-de Boor ``basis_functions``, the
 looped ``basis_matrix``, the per-parameter ``smooth_resample``, the closed
-branch of ``interpolate_curve`` that built the periodic system one row at a
-time (``skin_surface`` called it once per section) and Piegl & Tiller's
+curve interpolation that built the periodic system one row at a time
+(``skin_surface`` called it once per section) and Piegl & Tiller's
 algorithm A2.3 for basis derivatives of any order.  The array code in
 ``nurbs`` and ``centerline`` must give the same bits on every input here.
 """
@@ -150,7 +150,7 @@ def _ref_smooth_resample(points, k_out: int) -> np.ndarray:
 
 
 def _ref_closed_curve(q: np.ndarray, degree: int):
-    """The closed branch of ``interpolate_curve``: knots and all control points."""
+    """The row-by-row closed curve fit: knots and all control points, wrapped."""
     m = len(q)
     t = np.arange(m) / m
     knots = (np.arange(m + 2 * degree + 1) - degree) / m
@@ -338,12 +338,12 @@ def test_closed_interpolation_matches_row_by_row_system(degree):
         q += rng.normal(scale=0.3, size=q.shape)
         if degree % 2 == 0 and m % 2 == 0:  # singular: rejected before any solve
             with pytest.raises(ValueError, match="even degree needs an odd point count"):
-                nurbs.interpolate_curve(q, degree, closed=True)
+                nurbs._periodic_system(m, degree)
             continue
         knots, ctrl = _ref_closed_curve(q, degree)
-        curve = nurbs.interpolate_curve(q, degree, closed=True)
-        assert np.array_equal(curve.knots.values, knots)
-        assert np.array_equal(curve.control_points, ctrl)
+        got_knots, amat = nurbs._periodic_system(m, degree)
+        assert np.array_equal(got_knots, knots)
+        assert np.array_equal(_solve_checked(amat, q), ctrl[:m])
 
 
 @pytest.mark.parametrize("degree_v", [2, 3])
@@ -361,9 +361,9 @@ def test_skin_net_matches_per_section_solves(degree_v):
     assert np.array_equal(surf.knots_v.values, per_section[0][0])
     sect = np.stack([ctrl[:m] for _, ctrl in per_section])
     pts = np.stack(stacks)
-    t_bar = np.stack([nurbs.chord_parameters(pts[:, j], True) for j in range(m)]).mean(axis=0)
+    t_bar = np.stack([nurbs.chord_parameters(pts[:, j]) for j in range(m)]).mean(axis=0)
     t_bar[0], t_bar[-1] = 0.0, 1.0
-    _, rows, rhs = nurbs._bessel_system(3, t_bar, sect)
+    _, rows, rhs = nurbs._bessel_system(t_bar, sect)
     net = _solve_checked(rows, rhs)
     assert np.array_equal(surf.control_points[:, :m], net)
     assert np.array_equal(surf.control_points[:, m:], net[:, :degree_v])

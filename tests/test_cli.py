@@ -232,6 +232,9 @@ def _with(section, key, value):
     (["pipeline"], _with("surface", "tess_v", 8), "surface.tess_v"),
     (["phantom"], _with("surface", "tess_v", 8), "surface.tess_v"),
     (["pipeline"], _with("contours", "points", 7), "contours.points"),
+    (["pipeline"], _with("contours", "threshold", 1.0), "contours.threshold"),
+    (["pipeline"], _with("centerline", "k", 3), "centerline.k"),
+    (["pipeline"], _with("surface", "degree_v", 0), "surface.degree_v"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"

@@ -49,7 +49,7 @@ def _boundary_loop_count(boundary_edges) -> int:
 
 
 def _reference_validate(mesh: meshkit.TriMesh) -> meshkit.TopologyReport:
-    """The dict edge pass of validate; the self-intersection count is left at 0."""
+    """The dict edge pass of validate, with the count of count_self_intersections."""
     edges = _edge_incidence(mesh.triangles)
 
     boundary = []
@@ -78,7 +78,7 @@ def _reference_validate(mesh: meshkit.TriMesh) -> meshkit.TopologyReport:
         non_manifold_edge_count=non_manifold,
         euler_characteristic=euler,
         consistent_orientation=consistent,
-        self_intersection_count=0,
+        self_intersection_count=meshkit.count_self_intersections(mesh),
     )
 
 
@@ -204,7 +204,7 @@ MESHES = {
 @pytest.mark.parametrize("name", sorted(MESHES))
 def test_validate_matches_dict_reference(name):
     mesh = MESHES[name]()
-    got = meshkit.validate(mesh, check_self_intersections=False)
+    got = meshkit.validate(mesh)
     assert got == _reference_validate(mesh)
     assert got.consistent_orientation == got.manifold
 
@@ -217,7 +217,7 @@ def test_ordered_boundary_loops_match_dict_reference(name):
 
 def test_pinned_reports():
     def fields(mesh):
-        r = meshkit.validate(mesh, check_self_intersections=False)
+        r = meshkit.validate(mesh)
         return (r.watertight, r.boundary_loop_count, r.non_manifold_edge_count,
                 r.euler_characteristic, r.consistent_orientation)
 
@@ -232,6 +232,7 @@ def test_pinned_reports():
     assert fields(MESHES["bowtie"]()) == (False, 1, 0, 1, True)
     assert fields(MESHES["open_tube"]()) == (False, 2, 0, 0, True)
     assert fields(MESHES["unreferenced_vertex"]()) == (True, 0, 0, 2, True)
+    assert meshkit.validate(MESHES["random_soup"]()).self_intersection_count == 1358
 
 
 def test_pinned_loops():
@@ -255,7 +256,7 @@ def test_loops_of_culled_and_flipped_arcs():
         tris[flip] = tris[flip, ::-1]
         mesh = meshkit.TriMesh(tube.vertices, tris)
         assert meshkit._ordered_boundary_loops(mesh) == _reference_ordered_boundary_loops(mesh)
-        assert meshkit.validate(mesh, check_self_intersections=False) == _reference_validate(mesh)
+        assert meshkit.validate(mesh) == _reference_validate(mesh)
 
 
 @pytest.mark.parametrize("caps", [True, False])

@@ -49,7 +49,7 @@ def test_two_cubes_sharing_edge_non_manifold():
     uniq, inverse = np.unique(np.round(merged, 9), axis=0, return_inverse=True)
     tris = np.vstack([inverse[CUBE_TRIS], inverse[tris2]])
     mesh = meshkit.TriMesh(uniq, tris)
-    report = meshkit.validate(mesh, check_self_intersections=False)
+    report = meshkit.validate(mesh)
     assert report.non_manifold_edge_count == 1  # the shared edge, used four times
     assert not report.watertight
 
@@ -84,7 +84,7 @@ def test_marching_cubes_sphere():
     data = np.clip(1.0 - (d - r) / w, 0.0, 1.0).astype(np.float32)
     vol = Volume(data, (spacing,) * 3, (0.0, 0.0, 0.0))
     mesh = meshkit.marching_cubes(vol, 0.5)
-    report = meshkit.validate(mesh, check_self_intersections=False)
+    report = meshkit.validate(mesh)
     assert report.watertight
     assert report.euler_characteristic == 2
     assert report.non_manifold_edge_count == 0
@@ -104,7 +104,7 @@ def test_marching_cubes_iso_out_of_range():
 
 def test_marching_cubes_phantom_clean(straight_volume):
     mesh = meshkit.marching_cubes(straight_volume, 0.5)
-    report = meshkit.validate(mesh, check_self_intersections=False)
+    report = meshkit.validate(mesh)
     assert report.non_manifold_edge_count == 0
     assert report.consistent_orientation
 

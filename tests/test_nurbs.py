@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,45 +63,65 @@ def test_basis_outside_domain_errors():
         nurbs.basis_functions([0, 0, 1, 1], 1, 1.5)
 
 
+def _t_bar(stacks):
+    """The stations' u parameters: centripetal per point column, averaged."""
+    pts = np.asarray(stacks, dtype=np.float64)
+    t_bar = np.stack([nurbs.chord_parameters(pts[:, j]) for j in range(pts.shape[1])]).mean(axis=0)
+    t_bar[0], t_bar[-1] = 0.0, 1.0
+    return t_bar
+
+
+def _skin_points(surf, stacks):
+    """The surface at every contour point's parameters (t_bar[i], j / M)."""
+    m = np.shape(stacks)[1]
+    return nurbs.eval_surface_grid(surf, _t_bar(stacks), np.arange(m) / m)
+
+
 def test_interpolate_collinear_linear_precision():
-    pts = np.column_stack([np.linspace(0, 9, 6), np.linspace(0, -3, 6), np.linspace(1, 4, 6)])
-    curve = nurbs.interpolate_curve(pts, 3)
-    d = pts[-1] - pts[0]
+    # every station is one contour shifted along a slanted line by uneven
+    # steps, so each point column is collinear: so are the net columns and
+    # the u curves of the surface
+    rng = np.random.default_rng(0)
+    base = _circle(16, radius=3.0) + rng.normal(scale=0.3, size=(16, 3))
+    d = np.array([9.0, -3.0, 3.0])
     d /= np.linalg.norm(d)
-    rel = curve.control_points - pts[0]
-    off = rel - (rel @ d)[:, None] * d[None, :]
+    s = np.array([0.0, 1.0, 3.5, 4.0, 7.0, 12.0])
+    stacks = base[None] + s[:, None, None] * d
+    surf = nurbs.skin_surface(stacks)
+    rel = surf.control_points - surf.control_points[:1]
+    off = rel - (rel @ d)[..., None] * d
     assert np.abs(off).max() <= 1e-9
-    for u in np.linspace(0, 1, 40):
-        p = curve.evaluate(u)
-        off_line = (p - pts[0]) - np.dot(p - pts[0], d) * d
-        assert np.linalg.norm(off_line) <= 1e-9
+    grid = nurbs.eval_surface_grid(surf, np.linspace(0, 1, 40), np.arange(64) / 64)
+    rel = grid - grid[:1]
+    off_line = rel - (rel @ d)[..., None] * d
+    assert np.linalg.norm(off_line, axis=-1).max() <= 1e-9
 
 
 def test_interpolation_hits_input_points():
+    # stations along a random walk, each a noisy circle
     rng = np.random.default_rng(2)
-    pts = np.cumsum(rng.uniform(-1, 1, size=(9, 3)) + [1.0, 0, 0], axis=0)
-    t = nurbs.chord_parameters(pts, True)
-    for clamp_ends in (False, True):
-        curve = nurbs.interpolate_curve(pts, 3, clamp_ends=clamp_ends)
-        for ti, p in zip(t, pts):
-            assert np.linalg.norm(curve.evaluate(ti) - p) <= 1e-8
+    centers = np.cumsum(rng.uniform(-1, 1, size=(9, 3)) + [0.0, 0.0, 3.0], axis=0)
+    stacks = centers[:, None] + _circle(24, radius=2.0) + rng.normal(scale=0.1, size=(9, 24, 3))
+    surf = nurbs.skin_surface(stacks)
+    assert np.linalg.norm(_skin_points(surf, stacks) - stacks, axis=-1).max() <= 1e-8
 
 
 def test_periodic_circle_radial_error():
-    theta = 2 * np.pi * np.arange(8) / 8
-    pts = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(8)])
-    curve = nurbs.interpolate_curve(pts, 3, closed=True)
-    us = np.linspace(0, 1, 4000, endpoint=False)
-    rad = np.array([np.linalg.norm(curve.evaluate(u)[:2]) for u in us])
+    circles = np.stack([_circle(8, radius=1.0, z=z) for z in range(5)])
+    surf = nurbs.skin_surface(circles)
+    grid = nurbs.eval_surface_grid(surf, np.linspace(0, 1, 9), np.linspace(0, 1, 4000, endpoint=False))
+    rad = np.hypot(grid[..., 0], grid[..., 1])
     assert np.abs(rad - 1.0).max() <= 0.002
-    for i in range(8):
-        assert np.linalg.norm(curve.evaluate(i / 8) - pts[i]) <= 1e-9
+    assert np.linalg.norm(_skin_points(surf, circles) - circles, axis=-1).max() <= 1e-9
 
 
 def test_singular_system_raises():
-    pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0.0]])
-    with pytest.raises(nurbs.SingularSystemError):
-        nurbs.interpolate_curve(pts, 3)
+    # two coincident stations: named before any solve, with no divide-by-zero
+    stacks = _circle_contours(5.0, 16, [0.0, 2.0, 2.0, 4.0, 6.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(nurbs.SingularSystemError, match="stations 1 and 2 coincide"):
+            nurbs.skin_surface(stacks)
 
 
 def _circle(m, radius=5.0, z=0.0):
@@ -113,19 +135,16 @@ def test_periodic_even_degree_with_even_count_fails_fast(degree):
     # solve once passed its residual check and returned a curve whose radius
     # swung between 2.8 and 7.2 mm
     with pytest.raises(ValueError, match="even degree needs an odd point count"):
-        nurbs.interpolate_curve(_circle(32), degree, closed=True)
-    with pytest.raises(ValueError, match="even degree needs an odd point count"):
         nurbs.skin_surface([_circle(32, z=z) for z in range(0, 30, 6)], degree_v=degree)
 
 
 @pytest.mark.parametrize("degree, m", [(2, 33), (4, 33), (3, 32)])
 def test_periodic_fit_with_odd_count_or_odd_degree(degree, m):
-    pts = _circle(m)
-    curve = nurbs.interpolate_curve(pts, degree, closed=True)
-    for i in range(m):
-        assert np.linalg.norm(curve.evaluate(i / m) - pts[i]) <= 1e-9
-    rad = np.array([np.linalg.norm(curve.evaluate(u)[:2]) for u in np.arange(500) / 500])
-    assert np.abs(rad - 5.0).max() <= 1e-3
+    circles = np.stack([_circle(m, z=z) for z in range(0, 30, 6)])
+    surf = nurbs.skin_surface(circles, degree_v=degree)
+    assert np.linalg.norm(_skin_points(surf, circles) - circles, axis=-1).max() <= 1e-9
+    grid = nurbs.eval_surface_grid(surf, np.linspace(0, 1, 9), np.arange(500) / 500)
+    assert np.abs(np.hypot(grid[..., 0], grid[..., 1]) - 5.0).max() <= 1e-3
 
 
 def test_skin_cylinder_radial_error():
@@ -134,15 +153,9 @@ def test_skin_cylinder_radial_error():
     rng = np.random.default_rng(3)
     us = rng.uniform(0, 1, 10000)
     vs = rng.uniform(0, 1, 10000)
-    worst = 0.0
-    # grid evaluation in batches keeps this fast while sampling 10^4 params
-    for u, v in zip(us[:200], vs[:200]):
-        p = nurbs.eval_surface(surf, u, v)
-        worst = max(worst, abs(np.hypot(p[0], p[1]) - 5.0))
-    grid = nurbs.eval_surface_grid(surf, us[:100], vs[:100])
+    grid = nurbs.eval_surface_grid(surf, us[:200], vs[:200])
     rad = np.hypot(grid[:, :, 0], grid[:, :, 1])
-    worst = max(worst, float(np.abs(rad - 5.0).max()))
-    assert worst <= 0.002 * 5.0
+    assert np.abs(rad - 5.0).max() <= 0.002 * 5.0
 
 
 def test_skin_interpolates_contour_points():
@@ -156,14 +169,7 @@ def test_skin_interpolates_contour_points():
         stacks.append(pts)
     surf = nurbs.skin_surface(stacks)
     # u parameters reproduce the averaged centripetal parameterization
-    all_pts = np.stack(stacks)
-    t_cols = np.stack([nurbs.chord_parameters(all_pts[:, j, :], True) for j in range(16)])
-    t_bar = t_cols.mean(axis=0)
-    t_bar[0], t_bar[-1] = 0.0, 1.0
-    for i, contour in enumerate(stacks):
-        for j, p in enumerate(contour):
-            got = nurbs.eval_surface(surf, t_bar[i], j / 16)
-            assert np.linalg.norm(got - p) <= 1e-7
+    assert np.linalg.norm(_skin_points(surf, stacks) - np.stack(stacks), axis=-1).max() <= 1e-7
 
 
 def test_skin_rejects_bad_stacks():
@@ -190,14 +196,11 @@ def test_rational_eval_matches_nonrational_for_unit_weights():
     surf = nurbs.skin_surface(stacks)
     rng = np.random.default_rng(5)
     m, n = surf.net_dims
-    for _ in range(50):
-        u = float(rng.uniform(0, 1))
-        v = float(rng.uniform(0, 1))
-        su, bu = nurbs.basis_functions(surf.knots_u.values, surf.degree_u, u)
-        sv, bv = nurbs.basis_functions(surf.knots_v.values, surf.degree_v, v)
-        cp = surf.control_points[su - 3 : su + 1, sv - 3 : sv + 1]
-        nonrational = np.einsum("i,j,ijk->k", bu, bv, cp)
-        assert np.abs(nurbs.eval_surface(surf, u, v) - nonrational).max() <= 1e-12
+    us, vs = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
+    bu = nurbs.basis_matrix(surf.knots_u.values, surf.degree_u, m, us)
+    bv = nurbs.basis_matrix(surf.knots_v.values, surf.degree_v, n, vs)
+    nonrational = np.einsum("um,mnk,vn->uvk", bu, surf.control_points, bv)
+    assert np.abs(nurbs.eval_surface_grid(surf, us, vs) - nonrational).max() <= 1e-12
 
 
 def test_eval_affine_and_weight_scale_invariance():
@@ -212,12 +215,10 @@ def test_eval_affine_and_weight_scale_invariance():
         surf.control_points, surf.weights * 10.0,
     )
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        u = float(rng.uniform(0, 1))
-        v = float(rng.uniform(0, 1))
-        base = nurbs.eval_surface(surf, u, v)
-        assert np.abs(nurbs.eval_surface(shifted, u, v) - base - [1, -2, 3]).max() <= 1e-12
-        assert np.abs(nurbs.eval_surface(scaled, u, v) - base).max() <= 1e-12
+    us, vs = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
+    base = nurbs.eval_surface_grid(surf, us, vs)
+    assert np.abs(nurbs.eval_surface_grid(shifted, us, vs) - base - [1, -2, 3]).max() <= 1e-12
+    assert np.abs(nurbs.eval_surface_grid(scaled, us, vs) - base).max() <= 1e-12
 
 
 def test_tensor_partition_of_unity():
@@ -250,15 +251,12 @@ def test_local_support():
     u_lo, u_hi = ku[iu], ku[iu + 4]
     v_lo, v_hi = kv[iv], kv[iv + 4]
     rng = np.random.default_rng(8)
-    for _ in range(200):
-        u = float(rng.uniform(0, 1))
-        v = float(rng.uniform(0, 1))
-        diff = np.linalg.norm(
-            nurbs.eval_surface(bumped, u, v) - nurbs.eval_surface(surf, u, v)
-        )
-        inside = (u_lo <= u <= u_hi) and (v_lo <= v <= v_hi)
-        if not inside:
-            assert diff <= 1e-12
+    us, vs = rng.uniform(0, 1, 200), rng.uniform(0, 1, 200)
+    diff = np.linalg.norm(
+        nurbs.eval_surface_grid(bumped, us, vs) - nurbs.eval_surface_grid(surf, us, vs), axis=-1
+    )
+    inside = ((u_lo <= us) & (us <= u_hi))[:, None] & ((v_lo <= vs) & (vs <= v_hi))[None, :]
+    assert diff[~inside].max() <= 1e-12
 
 
 def test_convex_hull_containment_on_cylinder():
@@ -281,12 +279,12 @@ def test_tessellate_watertight_and_counts():
     surf = nurbs.skin_surface(stacks)
     nu, nv = 24, 32
     capped = nurbs.tessellate(surf, nu, nv, caps=True)
-    report = meshkit.validate(capped, check_self_intersections=False)
+    report = meshkit.validate(capped)
     assert report.watertight and report.euler_characteristic == 2
     assert capped.n_triangles == 2 * (nu - 1) * nv + 2 * nv
 
     open_tube = nurbs.tessellate(surf, nu, nv, caps=False)
-    rep2 = meshkit.validate(open_tube, check_self_intersections=False)
+    rep2 = meshkit.validate(open_tube)
     assert rep2.boundary_loop_count == 2
     # each boundary loop has nv edges
     edges = {}
@@ -299,12 +297,16 @@ def test_tessellate_watertight_and_counts():
 
 
 def test_interpolation_residual_invariant():
+    # the collocation matrices along u and v map the control net onto the
+    # contour points
     rng = np.random.default_rng(10)
-    pts = np.cumsum(rng.uniform(-1, 1, size=(12, 3)) + [0.5, 0, 0.5], axis=0)
-    t = nurbs.chord_parameters(pts, True)
-    curve = nurbs.interpolate_curve(pts, 3)
-    nmat = nurbs.basis_matrix(curve.knots.values, 3, len(curve.control_points), t)
-    resid = np.abs(nmat @ curve.control_points - pts).max()
+    centers = np.cumsum(rng.uniform(-1, 1, size=(12, 3)) + [0.5, 0, 0.5], axis=0)
+    stacks = centers[:, None] + _circle(16, radius=1.5) + rng.normal(scale=0.1, size=(12, 16, 3))
+    surf = nurbs.skin_surface(stacks)
+    m, n = surf.net_dims
+    bu = nurbs.basis_matrix(surf.knots_u.values, 3, m, _t_bar(stacks))
+    bv = nurbs.basis_matrix(surf.knots_v.values, 3, n, np.arange(16) / 16)
+    resid = np.abs(np.einsum("um,mnk,vn->uvk", bu, surf.control_points, bv) - stacks).max()
     assert resid <= 1e-9
 
 
@@ -343,10 +345,9 @@ def test_skin_batched_solve_matches_per_column_solves():
               for c in _circle_contours(5.0, 24, np.linspace(0, 30, 11))]
     surf = nurbs.skin_surface(stacks)
     pts = np.stack(stacks)
-    sect = np.stack([nurbs.interpolate_curve(p, 3, closed=True).control_points[:24] for p in pts])
-    t_bar = np.stack([nurbs.chord_parameters(pts[:, j], True) for j in range(24)]).mean(axis=0)
-    t_bar[0], t_bar[-1] = 0.0, 1.0
-    knots, rows, rhs = nurbs._bessel_system(3, t_bar, sect)
+    _, amat = nurbs._periodic_system(24, 3)
+    sect = np.stack([nurbs._solve_checked(amat, p) for p in pts])
+    knots, rows, rhs = nurbs._bessel_system(_t_bar(pts), sect)
     assert np.array_equal(knots, surf.knots_u.values)
     for j in range(24):
         assert np.array_equal(surf.control_points[:, j], np.linalg.solve(rows, rhs[:, j]))

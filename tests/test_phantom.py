@@ -114,7 +114,7 @@ def test_surface_vertex_count(straight_spec):
 def test_surfaces_watertight_with_caps(straight_spec, arc_spec):
     for spec in (straight_spec, arc_spec):
         mesh = phantom.analytic_surface(spec, 32, 32, caps=True)
-        report = meshkit.validate(mesh, check_self_intersections=False)
+        report = meshkit.validate(mesh)
         assert report.watertight
         assert report.euler_characteristic == 2
 

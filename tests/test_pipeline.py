@@ -371,12 +371,14 @@ def test_volume_source_is_required_before_any_file(tmp_path):
 
 def test_limits_pass_at_their_bounds():
     resolved = pipeline.resolve_config({
+        "centerline": {"k": 4},
         "slice": {"n_pix": 16, "half_extent_mm": 1},
         "contours": {"points": 8},
-        "surface": {"tess_u": 16, "tess_v": 16},
+        "surface": {"degree_v": 1, "tess_u": 16, "tess_v": 16},
     })
     assert resolved["slice"] == {"half_extent_mm": 1, "n_pix": 16}
     assert resolved["contours"]["points"] == 8
+    assert resolved["centerline"]["k"] == 4 and resolved["surface"]["degree_v"] == 1
 
 
 @pytest.mark.parametrize("config, key", [
@@ -409,12 +411,12 @@ def test_mask_of_wrong_shape_is_a_segment_error(tmp_path):
 
 def test_numbers_widen_to_float_and_tuples_take_lists():
     resolved = pipeline.resolve_config({
-        "seed": np.int64(3), "contours": {"threshold": 1},
+        "seed": np.int64(3), "learning_rate": 1,
         "family": {"dims": [32, 32, 32], "spacing_mm": [1, 1.5, 2]},
     })
     assert type(resolved["seed"]) is int and resolved["seed"] == 3
-    threshold = resolved["contours"]["threshold"]
-    assert type(threshold) is float and threshold == 1.0
+    learning_rate = resolved["learning_rate"]
+    assert type(learning_rate) is float and learning_rate == 1.0
     assert resolved["family"]["dims"] == (32, 32, 32)
     assert resolved["family"]["spacing_mm"] == (1.0, 1.5, 2.0)
     assert all(type(v) is float for v in resolved["family"]["spacing_mm"])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vesselmesh.volume import Volume, from_flat, load_raw, normalize, sample_trilinear, store_raw
+from vesselmesh.volume import Volume, load_raw, sample_trilinear, store_raw
 
 from conftest import affine_volume
 
@@ -47,7 +47,7 @@ def test_voxel_center_identity_exact():
     data = rng.random((5, 6, 7)).astype(np.float32)
     vol = Volume(data, (0.7, 0.8, 0.9), (-1.0, 2.0, 0.5))
     for idx in [(0, 0, 0), (6, 5, 4), (3, 2, 1), (2, 4, 2)]:
-        world = vol.index_to_world(idx)
+        world = np.asarray(vol.origin) + np.asarray(idx) * np.asarray(vol.spacing)
         assert sample_trilinear(vol, world) == data[idx[2], idx[1], idx[0]]
 
 
@@ -70,7 +70,8 @@ def test_one_voxel_axes(dims):
     data = rng.random(dims[::-1]).astype(np.float32)
     vol = Volume(data, (0.7, 0.8, 0.9), (-1.0, 2.0, 0.5))
     for idx in np.ndindex(*dims):
-        assert sample_trilinear(vol, vol.index_to_world(idx)) == data[idx[2], idx[1], idx[0]]
+        world = np.asarray(vol.origin) + np.asarray(idx) * np.asarray(vol.spacing)
+        assert sample_trilinear(vol, world) == data[idx[2], idx[1], idx[0]]
     doubled = np.ascontiguousarray(np.broadcast_to(data, tuple(max(n, 2) for n in data.shape)))
     doubled = Volume(doubled, vol.spacing, vol.origin)
     pts = rng.uniform(-3.0, 8.0, size=(2000, 3))
@@ -79,52 +80,10 @@ def test_one_voxel_axes(dims):
     assert np.abs(sample_trilinear(vol, pts) - want).max() <= 1e-12
 
 
-def test_strict_mode_raises_outside():
-    vol = Volume(np.zeros((3, 3, 3), dtype=np.float32), (1, 1, 1), (0, 0, 0))
-    assert sample_trilinear(vol, (1.0, 1.0, 1.0), strict=True) == 0.0
-    with pytest.raises(ValueError):
-        sample_trilinear(vol, (5.0, 1.0, 1.0), strict=True)
-
-
 def test_non_finite_point_rejected():
     vol = Volume(np.zeros((3, 3, 3), dtype=np.float32), (1, 1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         sample_trilinear(vol, (np.nan, 0.0, 0.0))
-
-
-def test_normalize_two_values():
-    vol = from_flat([2, 4, 2, 4, 2, 4, 2, 4], (2, 2, 2), (1, 1, 1), (0, 0, 0))
-    out = normalize(vol)
-    assert set(np.unique(out.data)) == {0.0, 1.0}
-
-
-def test_normalize_identity_on_unit_range():
-    data = np.linspace(0, 1, 27, dtype=np.float32).reshape(3, 3, 3)
-    vol = Volume(data, (1, 1, 1), (0, 0, 0))
-    assert np.array_equal(normalize(vol).data, data)
-
-
-def test_normalize_hand_case():
-    vol = from_flat([-1, 0, 3, -1, 0, 3, -1, 0], (2, 2, 2), (1, 1, 1), (0, 0, 0))
-    out = normalize(vol)
-    # (x - min) / (max - min) by hand: -1 -> 0, 0 -> 0.25, 3 -> 1
-    flat = out.data.ravel()
-    assert flat[0] == 0.0 and flat[1] == 0.25 and flat[2] == 1.0
-
-
-def test_normalize_preserves_extrema_locations():
-    rng = np.random.default_rng(4)
-    data = rng.normal(size=(4, 4, 4)).astype(np.float32)
-    vol = Volume(data, (1, 1, 1), (0, 0, 0))
-    out = normalize(vol)
-    assert np.argmax(out.data) == np.argmax(data)
-    assert np.argmin(out.data) == np.argmin(data)
-
-
-def test_normalize_constant_errors():
-    vol = Volume(np.ones((2, 2, 2), dtype=np.float32), (1, 1, 1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        normalize(vol)
 
 
 def test_raw_round_trip_bit_exact(tmp_path, straight_volume):
@@ -166,8 +125,6 @@ def test_volume_invariants_enforced():
         Volume(np.zeros((2, 2), dtype=np.float32), (1, 1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 0, 1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        from_flat(np.zeros(7), (2, 2, 2), (1, 1, 1), (0, 0, 0))
 
 
 def _indexed_trilinear(vol, pts):
