@@ -30,6 +30,8 @@ from .centerline import decode_image, encode_image
 from .volume import Volume, _trilinear
 
 _REFERENCE_T = 1000  # step count at which the canonical beta range applies
+# Adam's moment decay rates and denominator floor
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.99, 1e-8
 
 
 @dataclass(frozen=True)
@@ -241,20 +243,13 @@ class TrainingPair:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.99
     batch_size: int = 16
     iterations: int = 5000
     seed: int = 0
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.iterations < 1:
             raise ValueError("train config rates and counts must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"Adam betas must lie in [0, 1), got beta1={self.beta1}, beta2={self.beta2}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 def _common_k(pairs, denoiser=None) -> int:
@@ -351,17 +346,17 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
         # Adam in place through two scratch buffers; every operation keeps the
         # operands and order of m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
         # flat -= (lr mhat) / (sqrt(vhat) + eps), which checkpoints are pinned to
-        m *= cfg.beta1
-        np.multiply(g, 1 - cfg.beta1, out=step)
+        m *= _BETA1
+        np.multiply(g, 1 - _BETA1, out=step)
         m += step
-        v *= cfg.beta2
-        np.multiply(g, 1 - cfg.beta2, out=step)
+        v *= _BETA2
+        np.multiply(g, 1 - _BETA2, out=step)
         step *= g
         v += step
-        np.divide(v, 1 - cfg.beta2 ** it, out=scale)
+        np.divide(v, 1 - _BETA2 ** it, out=scale)
         np.sqrt(scale, out=scale)
-        scale += cfg.adam_eps
-        np.divide(m, 1 - cfg.beta1 ** it, out=step)
+        scale += _ADAM_EPS
+        np.divide(m, 1 - _BETA1 ** it, out=step)
         step *= cfg.learning_rate
         step /= scale
         denoiser.flat -= step

@@ -25,170 +25,119 @@ def _fail(stage: str, message: str, code: int) -> int:
     return code
 
 
-def _load_config(args) -> dict:
-    if not args.config:
-        raise ValueError("--config is required for this subcommand")
-    cfg = pipeline.load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "masks_dir", None):
-        cfg["contours"]["masks_dir"] = args.masks_dir
-    return cfg
+def _scores(report: dict) -> str:
+    return f"cd={report['cd_mm']:.4f}mm hd={report['hd_mm']:.4f}mm emd={report['emd_mm']:.4f}mm"
 
 
-def _out_dir(args, cfg=None) -> Path:
-    out = args.out or (cfg["out"] if cfg else None)
-    if not out:
-        raise ValueError("--out (or config 'out') is required")
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def _stage_command(name: str, stage_fn):
+    return lambda cfg, out, args: f"{name}: wrote {stage_fn(cfg, out)}"
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="override config seed")
+def _pipeline(cfg, out, args) -> str:
+    summary = pipeline.run_pipeline(cfg, out)
+    line = f"pipeline: mesh.obj watertight={summary['topology']['watertight']}"
+    return f"{line} {_scores(summary['metrics'])}" if "metrics" in summary else line
+
+
+def _study(cfg, out, args) -> str:
+    path = pipeline.param_study(cfg, out, tuple(int(x) for x in args.k_list.split(",")))
+    return f"study: wrote {path}\n{path.read_text().strip()}"
+
+
+def _compare(cfg, out, args) -> str:
+    doc = json.loads(pipeline.compare_baseline(cfg, out).read_text())
+    return "\n".join(f"{key}: {_scores(doc[key]['metrics'])}" for key in ("nurbs", "marching_cubes"))
+
+
+def _merge(cfg, out, args) -> str:
+    merged, report = merge_branches(read_obj(args.main), read_obj(args.branch))
+    write_obj(merged, out / "merged.obj")
+    pipeline._write_json(out / "junction.json", report.to_dict())
+    return (f"merge: wrote merged.obj (removed {report.removed_triangles} triangles, "
+            f"max bridge {report.max_bridge_length_mm:.3f} mm)")
+
+
+def _metrics(cfg, out, args) -> str:
+    report = metrics.mesh_metric_report(read_obj(args.mesh), read_obj(args.reference), seed=cfg["seed"],
+                                        inputs={"mesh": args.mesh, "reference": args.reference})
+    pipeline._write_json(out / "metrics.json", report)
+    return f"metrics: {_scores(report)}"
+
+
+def _train(cfg, out, args) -> str:
+    path = pipeline.train_cdm(cfg, out)
+    return f"cdm train: wrote {path}.json / {path}.f32"
+
+
+_MASKS_DIR = ("--masks-dir", {"help": "external per-station PGM masks"})
+
+# subcommand ("cdm train" is `train` under `cdm`) -> (help, extra flags,
+# handler); a handler takes the resolved config, the output directory and the
+# parsed arguments, and returns the summary to print
+COMMANDS = {
+    "phantom": ("rasterize a phantom volume with analytic ground truth",
+                [("--spec", {"help": "PhantomSpec JSON file (alternative to --config)"})],
+                _stage_command("phantom", pipeline.stage_volume)),
+    "centerline": ("produce the smoothed k-station centerline CSV", [],
+                   _stage_command("centerline", pipeline.stage_centerline)),
+    "slice": ("dump per-station cross-section PGMs", [], _stage_command("slice", pipeline.stage_slices)),
+    "segment": ("extract, trace, resample, and lift lumen contours", [_MASKS_DIR],
+                _stage_command("segment", pipeline.stage_segment)),
+    "contours": ("align adjacent contours by cyclic re-indexing", [],
+                 _stage_command("contours", pipeline.stage_align)),
+    "fit": ("skin the aligned contours with a NURBS surface", [], _stage_command("fit", pipeline.stage_fit)),
+    "mesh": ("tessellate the surface and validate topology", [], _stage_command("mesh", pipeline.stage_mesh)),
+    "pipeline": ("run all stages end to end", [_MASKS_DIR], _pipeline),
+    "study": ("parameter study over centerline point counts",
+              [("--k-list", {"default": "8,12,16,20,25", "help": "comma-separated point counts"})], _study),
+    "compare": ("NURBS pipeline vs marching-cubes baseline", [], _compare),
+    "merge": ("merge a branch mesh into a main mesh",
+              [("--main", {"required": True, "help": "main mesh OBJ"}),
+               ("--branch", {"required": True, "help": "open branch tube OBJ"})], _merge),
+    "metrics": ("CD/HD/EMD between two meshes",
+                [("--mesh", {"required": True, "help": "candidate mesh OBJ"}),
+                 ("--reference", {"required": True, "help": "reference mesh OBJ"})], _metrics),
+    "cdm train": ("train the diffusion centerline model", [], _train),
+    "cdm sample": ("sample a centerline from a trained model", [],
+                   _stage_command("cdm sample", pipeline.sample_cdm)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="vesselmesh",
-        description="Tubular surface reconstruction from volumetric images",
-    )
+    ap = argparse.ArgumentParser(prog="vesselmesh",
+                                 description="Tubular surface reconstruction from volumetric images")
     sp = ap.add_subparsers(dest="command", required=True)
-
-    cmds = {
-        "phantom": "rasterize a phantom volume with analytic ground truth",
-        "centerline": "produce the smoothed k-station centerline CSV",
-        "slice": "dump per-station cross-section PGMs",
-        "segment": "extract, trace, resample, and lift lumen contours",
-        "contours": "align adjacent contours by cyclic re-indexing",
-        "fit": "skin the aligned contours with a NURBS surface",
-        "mesh": "tessellate the surface and validate topology",
-        "pipeline": "run all stages end to end",
-        "study": "parameter study over centerline point counts",
-        "compare": "NURBS pipeline vs marching-cubes baseline",
-    }
-    for name, help_text in cmds.items():
-        sub = sp.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "phantom":
-            sub.add_argument("--spec", help="PhantomSpec JSON file (alternative to --config)")
-        if name == "study":
-            sub.add_argument("--k-list", default="8,12,16,20,25", help="comma-separated point counts")
-        if name in ("segment", "pipeline"):
-            sub.add_argument("--masks-dir", help="external per-station PGM masks")
-
-    merge = sp.add_parser("merge", help="merge a branch mesh into a main mesh")
-    _add_common(merge)
-    merge.add_argument("--main", required=True, help="main mesh OBJ")
-    merge.add_argument("--branch", required=True, help="open branch tube OBJ")
-
-    met = sp.add_parser("metrics", help="CD/HD/EMD between two meshes")
-    _add_common(met)
-    met.add_argument("--mesh", required=True, help="candidate mesh OBJ")
-    met.add_argument("--reference", required=True, help="reference mesh OBJ")
-
-    cdm_cmd = sp.add_parser("cdm", help="diffusion centerline model")
-    cdm_sub = cdm_cmd.add_subparsers(dest="cdm_command", required=True)
-    for name in ("train", "sample"):
-        sub = cdm_sub.add_parser(name)
-        _add_common(sub)
+    groups = {"": sp, "cdm": sp.add_parser("cdm", help="diffusion centerline model")
+              .add_subparsers(dest="cdm_command", required=True)}
+    common = [("--config", {"help": "JSON config file"}), ("--out", {"help": "output directory"}),
+              ("--seed", {"type": int, "default": None, "help": "override config seed"})]
+    for name, (help_text, flags, handler) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        sub = groups[group].add_parser(leaf, help=help_text)
+        for flag, kwargs in common + flags:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(handler=handler)
     return ap
-
-
-def _run_stage_command(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    stage_fns = {
-        "centerline": pipeline.stage_centerline,
-        "slice": pipeline.stage_slices,
-        "segment": pipeline.stage_segment,
-        "contours": pipeline.stage_align,
-        "fit": pipeline.stage_fit,
-        "mesh": pipeline.stage_mesh,
-    }
-    path = stage_fns[args.command](cfg, out)
-    print(f"{args.command}: wrote {path}")
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "phantom":
-            if args.spec:
-                cfg = pipeline.resolve_config({"phantom": json.loads(Path(args.spec).read_text())})
-            else:
-                cfg = _load_config(args)
-            out = _out_dir(args, cfg)
-            path = pipeline.stage_volume(cfg, out)
-            print(f"phantom: wrote {path}")
-        elif args.command in ("centerline", "slice", "segment", "contours", "fit", "mesh"):
-            return _run_stage_command(args)
-        elif args.command == "pipeline":
-            cfg = _load_config(args)
-            out = _out_dir(args, cfg)
-            summary = pipeline.run_pipeline(cfg, out)
-            topo = summary["topology"]
-            line = f"pipeline: mesh.obj watertight={topo['watertight']}"
-            if "metrics" in summary:
-                m = summary["metrics"]
-                line += f" cd={m['cd_mm']:.4f}mm hd={m['hd_mm']:.4f}mm emd={m['emd_mm']:.4f}mm"
-            print(line)
-        elif args.command == "study":
-            cfg = _load_config(args)
-            out = _out_dir(args, cfg)
-            k_list = tuple(int(x) for x in args.k_list.split(","))
-            path = pipeline.param_study(cfg, out, k_list)
-            print(f"study: wrote {path}")
-            print(path.read_text().strip())
-        elif args.command == "compare":
-            cfg = _load_config(args)
-            out = _out_dir(args, cfg)
-            path = pipeline.compare_baseline(cfg, out)
-            doc = json.loads(path.read_text())
-            for key in ("nurbs", "marching_cubes"):
-                m = doc[key]["metrics"]
-                print(f"{key}: cd={m['cd_mm']:.4f}mm hd={m['hd_mm']:.4f}mm emd={m['emd_mm']:.4f}mm")
-        elif args.command == "merge":
-            out = _out_dir(args)
-            merged, report = merge_branches(read_obj(args.main), read_obj(args.branch))
-            write_obj(merged, out / "merged.obj")
-            Path(out / "junction.json").write_text(
-                json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
-            print(
-                f"merge: wrote merged.obj (removed {report.removed_triangles} triangles, "
-                f"max bridge {report.max_bridge_length_mm:.3f} mm)"
-            )
-        elif args.command == "metrics":
-            out = _out_dir(args)
-            mesh = read_obj(args.mesh)
-            ref = read_obj(args.reference)
-            seed = args.seed if args.seed is not None else 0
-            report = metrics.mesh_metric_report(
-                mesh, ref, seed=seed, inputs={"mesh": args.mesh, "reference": args.reference}
-            )
-            Path(out / "metrics.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n"
-            )
-            print(
-                f"metrics: cd={report['cd_mm']:.4f}mm hd={report['hd_mm']:.4f}mm "
-                f"emd={report['emd_mm']:.4f}mm"
-            )
-        elif args.command == "cdm":
-            cfg = _load_config(args)
-            out = _out_dir(args, cfg)
-            if args.cdm_command == "train":
-                path = pipeline.train_cdm(cfg, out)
-                print(f"cdm train: wrote {path}.json / {path}.f32")
-            else:
-                path = pipeline.sample_cdm(cfg, out)
-                print(f"cdm sample: wrote {path}")
-        else:  # pragma: no cover
-            raise ValueError(f"unknown command {args.command}")
+        if getattr(args, "spec", None):
+            cfg = pipeline.resolve_config({"phantom": json.loads(Path(args.spec).read_text())})
+        elif args.config or args.handler in (_merge, _metrics):  # these take their inputs from flags
+            cfg = pipeline.load_config(args.config) if args.config else pipeline.resolve_config({})
+        else:
+            raise ValueError("--config is required for this subcommand")
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if getattr(args, "masks_dir", None):
+            cfg["contours"]["masks_dir"] = args.masks_dir
+        out = args.out or cfg["out"]
+        if not out:
+            raise ValueError("--out (or config 'out') is required")
+        Path(out).mkdir(parents=True, exist_ok=True)
+        print(args.handler(cfg, Path(out), args))
     except StageError as exc:
         return _fail(exc.stage, str(exc), STAGE_EXIT)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

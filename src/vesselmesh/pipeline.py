@@ -47,8 +47,8 @@ def _read_json(path):
 
 # Every config key and its default, for every command: section -> key ->
 # default.  `resolve_config` takes a value only of its default's type (see
-# `_cast`); keys whose default is None pass through, and `phantom` is parsed
-# into a PhantomSpec.
+# `_cast`); keys whose default is None pass through, and a given `phantom`
+# section is resolved against PhantomSpec's field defaults into a PhantomSpec.
 _DEFAULTS = {
     "seed": cdm.TrainConfig.seed,
     "out": None,
@@ -69,8 +69,8 @@ _DEFAULTS = {
     "family": {"shape": "straight", "count": 128, "seed": 0, "radius_range_mm": (5.0, 7.0),
                "offset_range_mm": 3.5, "dims": (48, 48, 48), "spacing_mm": (1.2, 1.2, 1.2),
                "length_mm": 30.0, "wall_softness_mm": 3.0},
-    "checkpoint": None,
 }
+_PHANTOM = {name: f.default for name, f in phantom.PhantomSpec.__dataclass_fields__.items()}
 
 
 # the key each centerline source reads its input from (the analytic source
@@ -83,11 +83,18 @@ _LIMITS = {
     "centerline.k": (lambda v: v >= 4, "at least 4"),
     "slice.n_pix": (lambda v: v >= 16, "at least 16"),
     "slice.half_extent_mm": (lambda v: v is None or _cast(v, 1.0) > 0, "positive"),
+    "phantom.wall_softness_mm": (lambda v: v is None or _cast(v, 1.0) > 0, "positive"),
     "contours.points": (lambda v: v >= 8, "at least 8"),
     "contours.threshold": (lambda v: 0 < v < 1, "strictly between 0 and 1"),
     "surface.degree_v": (lambda v: v >= 1, "at least 1"),
     "surface.tess_u": (lambda v: v >= 16, "at least 16"),
     "surface.tess_v": (lambda v: v >= 16, "at least 16"),
+    "k": (lambda v: v >= 4, "at least 4"),
+    "timesteps": (lambda v: v >= 21, "at least 21"),  # desk_default's beta_end 20/timesteps < 1
+    "learning_rate": (lambda v: v > 0, "positive"),
+    "batch_size": (lambda v: v >= 1, "at least 1"),
+    "iterations": (lambda v: v >= 1, "at least 1"),
+    "family.count": (lambda v: v >= 1, "at least 1"),
 }
 
 
@@ -110,8 +117,10 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
 
     Raises ValueError naming the dotted path of the first non-object
     section, unknown key, value of the wrong type or value outside its
-    ``_LIMITS``, or the centerline key that the chosen
-    ``centerline.source`` needs and the config leaves out.
+    ``_LIMITS``, the centerline key that the chosen ``centerline.source``
+    needs and the config leaves out, or the pair ``surface.degree_v`` and
+    ``contours.points`` when no closed curve of that degree interpolates
+    that many points.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
@@ -124,9 +133,9 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
         if isinstance(default, dict):
             resolved[key] = resolve_config(value, default, f"{where}{key}.")
             continue
+        if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
+            value = phantom.PhantomSpec(**resolve_config(value, _PHANTOM, "phantom."))
         try:
-            if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
-                value = phantom.PhantomSpec.from_dict(value)
             resolved[key] = value if default is None else _cast(value, default)
             test, need = _LIMITS.get(where + key, (None, None))
             if test is not None and not test(resolved[key]):
@@ -141,6 +150,11 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
         key = _CENTERLINE_INPUT[source]
         if key is not None and resolved["centerline"][key] is None:
             raise ValueError(f"config key centerline.{key} is required by source {source!r}")
+        degree, points = resolved["surface"]["degree_v"], resolved["contours"]["points"]
+        if degree >= points or degree % 2 == 0 and points % 2 == 0:
+            raise ValueError(f"config keys surface.degree_v and contours.points: a closed curve of "
+                             f"degree {degree} needs at least {degree + 1} points, an odd count if "
+                             f"the degree is even; got {points}")
     return resolved
 
 
@@ -156,33 +170,49 @@ def load_config(path) -> dict:
 # stages
 
 
+def _input_volume(config: dict, stage: str):
+    """The config's input volume: its phantom rasterized, or the raw volume at
+    volume.path, which must hold finite values in [0, 1].  A config with
+    neither raises ValueError; a failure to load raises StageError(stage)."""
+    spec, path = config["phantom"], config["volume"]["path"]
+    if spec is None and path is None:
+        raise ValueError("config needs a phantom section or volume.path")
+    with _stage(stage):
+        if spec is not None:
+            return phantom.rasterize(spec)
+        src = Path(path)
+        if not src.exists():
+            raise FileNotFoundError(f"volume payload {src} not found")
+        vol = load_raw(src)
+        lo, hi = float(vol.data.min()), float(vol.data.max())
+        if not (0.0 <= lo and hi <= 1.0):  # false for NaN too
+            raise ValueError(f"raw volume must hold finite values in [0, 1], got min {lo} max {hi}")
+        return vol
+
+
+def _sample_centerline(vol, checkpoint, seed: int) -> np.ndarray:
+    """One centerline drawn from the checkpoint at stem `checkpoint`, conditioned on vol."""
+    den, sched = cdm.load_checkpoint(checkpoint)
+    rng = np.random.default_rng(seed)
+    return cdm.sample(vol, cdm.VolumeFeatureEncoder(vol), den, sched, rng)
+
+
 def stage_volume(config: dict, out: Path) -> Path:
     """Materialize the input volume (rasterize a phantom or load raw files)."""
     config = resolve_config(config)
-    if config["phantom"] is None and config["volume"]["path"] is None:
-        raise ValueError("config needs a phantom section or volume.path")
+    vol = _input_volume(config, "volume")
     out.mkdir(parents=True, exist_ok=True)
     vol_path = out / "volume.f32raw"
     with _stage("volume"):
+        store_raw(vol, vol_path)
         spec = config["phantom"]
         if spec is not None:
             (out / "phantom_spec.json").write_text(spec.to_json() + "\n")
-            vol = phantom.rasterize(spec)
-            store_raw(vol, vol_path)
             surf = config["surface"]
             gt = phantom.analytic_surface(spec, nu=surf["tess_u"], nv=surf["tess_v"], caps=surf["caps"])
             write_obj(gt, out / "gt_surface.obj")
             k = config["centerline"]["k"]
             cl.write_csv(phantom.analytic_centerline(spec, k), out / "gt_centerline.csv")
-        else:
-            src = Path(config["volume"]["path"])
-            if not src.exists():
-                raise FileNotFoundError(f"volume payload {src} not found")
-            vol = load_raw(src)
-            lo, hi = float(vol.data.min()), float(vol.data.max())
-            if not (0.0 <= lo and hi <= 1.0):  # false for NaN too
-                raise ValueError(f"raw volume must hold finite values in [0, 1], got min {lo} max {hi}")
-            store_raw(vol, vol_path)
     return vol_path
 
 
@@ -199,11 +229,7 @@ def stage_centerline(config: dict, out: Path) -> Path:
         elif source == "csv":
             raw = cl.read_csv(ccfg["path"])
         else:  # "cdm", the one source left after resolve_config
-            vol = load_raw(out / "volume.f32raw")
-            den, sched = cdm.load_checkpoint(ccfg["checkpoint"])
-            rng = np.random.default_rng(config["seed"])
-            encoder = cdm.VolumeFeatureEncoder(vol)
-            raw = cdm.sample(vol, encoder, den, sched, rng)
+            raw = _sample_centerline(load_raw(out / "volume.f32raw"), ccfg["checkpoint"], config["seed"])
         smoothed = cl.smooth_resample(raw, k) if ccfg["smooth"] else raw
         cl.write_csv(smoothed, path)
     return path
@@ -310,29 +336,34 @@ def stage_mesh(config: dict, out: Path) -> Path:
     return out / "mesh.obj"
 
 
+def _reference_mesh(config: dict, out: Path):
+    """(path, label) of the mesh that metrics score against: ground_truth.surface_obj
+    when set, else the phantom's gt_surface.obj; None when there is neither."""
+    given = config["ground_truth"]["surface_obj"]
+    path = Path(given) if given else out / "gt_surface.obj"
+    if not given and not path.exists():
+        return None
+    return path, path.name if path.parent == out else str(path)
+
+
 def stage_metrics(config: dict, out: Path) -> Path | None:
     config = resolve_config(config)
-    gt_path = None
-    if config["ground_truth"]["surface_obj"]:
-        gt_path = Path(config["ground_truth"]["surface_obj"])
-    elif (out / "gt_surface.obj").exists():
-        gt_path = out / "gt_surface.obj"
-    if gt_path is None:
+    reference = _reference_mesh(config, out)
+    if reference is None:
         return None
+    gt_path, label = reference
     with _stage("metrics"):
         mesh = read_obj(out / "mesh.obj")
-        gt = read_obj(gt_path)
-        seed = config["seed"]
-        ref_label = gt_path.name if gt_path.parent == out else str(gt_path)
         report = metrics.mesh_metric_report(
-            mesh, gt, seed=seed, inputs={"mesh": "mesh.obj", "reference": ref_label}
+            mesh, read_obj(gt_path), seed=config["seed"], inputs={"mesh": "mesh.obj", "reference": label}
         )
         _write_json(out / "metrics.json", report)
     return out / "metrics.json"
 
 
 def run_pipeline(config: dict, out) -> dict:
-    """Run all stages in order; returns a summary of artifact paths."""
+    """Run all stages in order; returns the topology report, and the metric
+    report when there is a reference mesh."""
     config = resolve_config(config)
     out = Path(out)
     stage_volume(config, out)
@@ -342,23 +373,9 @@ def run_pipeline(config: dict, out) -> dict:
     stage_fit(config, out)
     stage_mesh(config, out)
     metrics_path = stage_metrics(config, out)
-    summary = {
-        "out": str(out),
-        "artifacts": {
-            "volume": "volume.f32raw",
-            "centerline": "centerline.csv",
-            "contours_raw": "contours_raw.json",
-            "contours": "contours.json",
-            "nurbs": "surface.nurbs.json",
-            "mesh_obj": "mesh.obj",
-            "mesh_stl": "mesh.stl",
-            "topology": "topology.json",
-        },
-    }
+    summary = {"topology": _read_json(out / "topology.json")}
     if metrics_path:
-        summary["artifacts"]["metrics"] = "metrics.json"
         summary["metrics"] = _read_json(metrics_path)
-    summary["topology"] = _read_json(out / "topology.json")
     return summary
 
 
@@ -369,17 +386,16 @@ def run_pipeline(config: dict, out) -> dict:
 def param_study(config: dict, out, k_list=(8, 12, 16, 20, 25)) -> Path:
     """Run the pipeline per centerline point count; CSV of CD/HD/EMD per k."""
     config = resolve_config(config)
+    subs = [resolve_config({**config, "centerline": {**config["centerline"], "k": k}}) for k in k_list]
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for k in k_list:
-        sub = {**config, "centerline": {**config["centerline"], "k": int(k)}}
-        sub_out = out / f"k_{int(k):02d}"
-        summary = run_pipeline(sub, sub_out)
-        m = summary.get("metrics")
+    for sub in subs:
+        k = sub["centerline"]["k"]
+        m = run_pipeline(sub, out / f"k_{k:02d}").get("metrics")
         if m is None:
             raise StageError("metrics", "parameter study requires a ground-truth surface")
-        rows.append((int(k), m["cd_mm"], m["hd_mm"], m["emd_mm"]))
+        rows.append((k, m["cd_mm"], m["hd_mm"], m["emd_mm"]))
     best = min(rows, key=lambda r: r[1])[0]
     lines = ["k,cd_mm,hd_mm,emd_mm,is_best"]
     for k, cd_val, hd_val, emd_val in rows:
@@ -401,9 +417,9 @@ def compare_baseline(config: dict, out) -> Path:
         mc = marching_cubes(vol, config["baseline"]["iso"]).clean()
         write_obj(mc, out / "mc_mesh.obj")
         mc_report = validate(mc)
-        gt = read_obj(out / "gt_surface.obj")
+        gt_path, label = _reference_mesh(config, out)
         mc_metrics = metrics.mesh_metric_report(
-            mc, gt, seed=config["seed"], inputs={"mesh": "mc_mesh.obj", "reference": "gt_surface.obj"}
+            mc, read_obj(gt_path), seed=config["seed"], inputs={"mesh": "mc_mesh.obj", "reference": label}
         )
         doc = {
             "nurbs": {"metrics": summary["metrics"], "topology": summary["topology"]},
@@ -469,19 +485,12 @@ def train_cdm(config: dict, out) -> Path:
 def sample_cdm(config: dict, out) -> Path:
     """Sample one centerline from a trained checkpoint, conditioned on a volume."""
     config = resolve_config(config)
-    if config["checkpoint"] is None:
-        raise ValueError("config key checkpoint is required to sample")
-    if config["phantom"] is None and config["volume"]["path"] is None:
-        raise ValueError("config key volume.path (or a phantom section) is required to sample")
+    checkpoint = config["centerline"]["checkpoint"]
+    if checkpoint is None:
+        raise ValueError("config key centerline.checkpoint is required to sample")
+    vol = _input_volume(config, "cdm-sample")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("cdm-sample"):
-        if config["phantom"] is not None:
-            vol = phantom.rasterize(config["phantom"])
-        else:
-            vol = load_raw(Path(config["volume"]["path"]))
-        den, sched = cdm.load_checkpoint(config["checkpoint"])
-        rng = np.random.default_rng(config["seed"])
-        pts = cdm.sample(vol, cdm.VolumeFeatureEncoder(vol), den, sched, rng)
-        cl.write_csv(pts, out / "sampled_centerline.csv")
+        cl.write_csv(_sample_centerline(vol, checkpoint, config["seed"]), out / "sampled_centerline.csv")
     return out / "sampled_centerline.csv"

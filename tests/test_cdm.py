@@ -147,13 +147,6 @@ def test_train_divergence_aborts(sched, single_pair):
         cdm.train([single_pair], cfg, sched)
 
 
-@pytest.mark.parametrize("bad", [{"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0},
-                                 {"beta2": 1.5}, {"adam_eps": 0.0}, {"adam_eps": -1e-8}])
-def test_train_config_rejects_adam_settings_that_give_nan(bad):
-    with pytest.raises(ValueError, match="beta|adam_eps"):
-        cdm.TrainConfig(**bad)
-
-
 def test_train_stops_at_first_non_finite_loss(sched, single_pair):
     # the first step moves every weight by about the learning rate, so the
     # second loss overflows; the 500-iteration streak test alone would let

@@ -160,11 +160,11 @@ def _loop_train(dataset, cfg: cdm.TrainConfig, sched: NoiseSchedule, log_every: 
         loss, grads = _loop_loss_and_grads(batch, denoiser, sched, rng)
         for key in _PARAM_ORDER:
             g = grads[key]
-            m[key] = cfg.beta1 * m[key] + (1 - cfg.beta1) * g
-            v[key] = cfg.beta2 * v[key] + (1 - cfg.beta2) * g * g
-            mhat = m[key] / (1 - cfg.beta1 ** it)
-            vhat = v[key] / (1 - cfg.beta2 ** it)
-            denoiser.params[key] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            m[key] = cdm._BETA1 * m[key] + (1 - cdm._BETA1) * g
+            v[key] = cdm._BETA2 * v[key] + (1 - cdm._BETA2) * g * g
+            mhat = m[key] / (1 - cdm._BETA1 ** it)
+            vhat = v[key] / (1 - cdm._BETA2 ** it)
+            denoiser.params[key] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cdm._ADAM_EPS)
         recent.append(loss)
         if len(recent) > 100:
             recent.pop(0)

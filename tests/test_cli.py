@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vesselmesh import centerline as cl, lumenseg, meshkit, phantom, pipeline, slicer
+from vesselmesh.volume import Volume, store_raw
 
 
 def _run(*args):
@@ -235,6 +236,16 @@ def _with(section, key, value):
     (["pipeline"], _with("contours", "threshold", 1.0), "contours.threshold"),
     (["pipeline"], _with("centerline", "k", 3), "centerline.k"),
     (["pipeline"], _with("surface", "degree_v", 0), "surface.degree_v"),
+    (["pipeline"], _with("surface", "degree_v", 2), "surface.degree_v and contours.points"),
+    (["pipeline"], _with("phantom", "length_mm", "26"), "phantom.length_mm"),
+    (["pipeline"], _with("phantom", "dims", [48, 48]), "phantom.dims"),
+    (["cdm", "sample"], {"checkpoint": "model", "phantom": _tiny_dict()["phantom"]}, "checkpoint"),
+    (["cdm", "train"], {"learning_rate": 0.0, "family": {"count": 2}}, "learning_rate"),
+    (["cdm", "train"], {"batch_size": 0, "family": {"count": 2}}, "batch_size"),
+    (["cdm", "train"], {"iterations": 0, "family": {"count": 2}}, "iterations"),
+    (["cdm", "train"], {"k": 3, "family": {"count": 2}}, "config key k:"),
+    (["cdm", "train"], {"family": {"count": 0}}, "family.count"),
+    (["cdm", "train"], {"timesteps": 20, "family": {"count": 2}}, "timesteps"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"
@@ -250,7 +261,7 @@ def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
 
 @pytest.mark.parametrize("cfg, named", [
     ({"phantom": _tiny_dict()["phantom"]}, "checkpoint"),
-    ({"checkpoint": "model"}, "volume.path"),
+    ({"centerline": {"checkpoint": "model"}}, "volume.path"),
 ])
 def test_cdm_sample_without_its_inputs_exits_2(tmp_path, cfg, named):
     path = tmp_path / "cfg.json"
@@ -262,6 +273,21 @@ def test_cdm_sample_without_its_inputs_exits_2(tmp_path, cfg, named):
     assert doc["stage"] == "config"
     assert named in doc["error"]
     assert not any(out.iterdir())  # the CLI made the directory, no stage wrote to it
+
+
+def test_cdm_sample_on_raw_volume_outside_unit_range_fails(tmp_path):
+    store_raw(Volume(np.full((8, 8, 8), 7.0, dtype=np.float32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+              tmp_path / "in.f32raw")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"volume": {"path": str(tmp_path / "in.f32raw")},
+                                "centerline": {"checkpoint": str(tmp_path / "model")}}))
+    out = tmp_path / "out"
+    res = _run("cdm", "sample", "--config", str(path), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc["stage"] == "cdm-sample"
+    assert "[0, 1], got min 7.0 max 7.0" in doc["error"]
+    assert not any(out.iterdir())
 
 
 def test_config_without_volume_source_exits_2(tmp_path):

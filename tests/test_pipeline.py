@@ -153,12 +153,11 @@ def test_csv_centerline_source(tmp_path):
     assert summary["topology"]["watertight"]
 
 
-def test_even_degree_with_even_contour_count_fails_in_fit(tmp_path):
+def test_even_degree_with_even_contour_count_fails_before_any_file(tmp_path):
     cfg = _tiny_config(surface={"tess_u": 32, "tess_v": 32, "caps": True, "degree_v": 4})
-    with pytest.raises(StageError) as err:
-        pipeline.run_pipeline(cfg, tmp_path)
-    assert err.value.stage == "fit"
-    assert "even degree needs an odd point count" in str(err.value)
+    with pytest.raises(ValueError, match="surface.degree_v and contours.points: .* an odd count"):
+        pipeline.run_pipeline(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_stage_error_carries_stage(tmp_path):
@@ -213,6 +212,22 @@ def test_param_study_structure(tmp_path):
     assert sum(flag for _, flag in table.values()) == 1
 
 
+@pytest.mark.parametrize("raw", [False, True])
+def test_compare_scores_both_meshes_against_the_given_surface(tmp_path, raw):
+    src = tmp_path / "src"
+    pipeline.stage_volume(_tiny_config(), src)
+    reference = str(src / "gt_surface.obj")
+    cfg = _tiny_config(ground_truth={"surface_obj": reference})
+    if raw:
+        del cfg["phantom"]
+        cfg.update(volume={"path": str(src / "volume.f32raw")}, slice={"half_extent_mm": 20.0},
+                   centerline={"source": "csv", "path": str(src / "gt_centerline.csv")})
+    doc = json.loads(pipeline.compare_baseline(cfg, tmp_path / "cmp").read_text())
+    assert doc["nurbs"]["metrics"]["inputs"]["reference"] == reference
+    assert doc["marching_cubes"]["metrics"]["inputs"]["reference"] == reference
+    assert (tmp_path / "cmp" / "gt_surface.obj").exists() != raw
+
+
 def test_compare_baseline_outputs(tmp_path):
     doc_path = pipeline.compare_baseline(_tiny_config(), tmp_path / "cmp")
     doc = json.loads(doc_path.read_text())
@@ -248,7 +263,7 @@ def test_cdm_train_and_sample_roundtrip(tmp_path):
     assert (tmp_path / "train" / "loss_curve.csv").exists()
     sample_cfg = {
         "seed": 1,
-        "checkpoint": str(model_stem),
+        "centerline": {"checkpoint": str(model_stem)},
         "phantom": {"shape": "straight", "length_mm": 22.0, "base_radius_mm": 4.5,
                     "dims": [32, 32, 32], "spacing_mm": [1.6, 1.6, 1.6]},
     }
@@ -354,10 +369,20 @@ def test_readme_example_config_resolves():
     ({"surface": {"tess_u": 8}}, "surface.tess_u"),
     ({"surface": {"tess_v": 12}}, "surface.tess_v"),
     ({"contours": {"points": 4}}, "contours.points"),
+    ({"surface": {"degree_v": 9}, "contours": {"points": 9}}, "surface.degree_v and contours.points"),
+    ({"phantom": {**_tiny_config()["phantom"], "wall_softness_mm": 0.0}}, "phantom.wall_softness_mm"),
+    ({"phantom": {**_tiny_config()["phantom"], "seed": 1.5}}, "phantom.seed"),
+    ({"checkpoint": "model"}, "checkpoint"),
 ])
 def test_bad_config_fails_before_any_file(tmp_path, override, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         pipeline.run_pipeline(_tiny_config(**override), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_resolves_every_k_before_the_first_run(tmp_path):
+    with pytest.raises(ValueError, match=re.escape("centerline.k: must be at least 4, got 3")):
+        pipeline.param_study(_tiny_config(), tmp_path / "out", (8, 3))
     assert not (tmp_path / "out").exists()
 
 
@@ -379,11 +404,18 @@ def test_limits_pass_at_their_bounds():
     assert resolved["slice"] == {"half_extent_mm": 1, "n_pix": 16}
     assert resolved["contours"]["points"] == 8
     assert resolved["centerline"]["k"] == 4 and resolved["surface"]["degree_v"] == 1
+    # the largest degree that a point count takes, and an even degree with an odd count
+    assert pipeline.resolve_config({"surface": {"degree_v": 7}, "contours": {"points": 8}})
+    assert pipeline.resolve_config({"surface": {"degree_v": 2}, "contours": {"points": 33}})
+    resolved = pipeline.resolve_config({"k": 4, "timesteps": 21, "batch_size": 1, "iterations": 1,
+                                        "family": {"count": 1}})
+    assert (resolved["k"], resolved["timesteps"], resolved["family"]["count"]) == (4, 21, 1)
+    assert pipeline.resolve_config({"phantom": {"wall_softness_mm": 0.5}})["phantom"].wall_softness == 0.5
 
 
 @pytest.mark.parametrize("config, key", [
     ({"phantom": _tiny_config()["phantom"]}, "checkpoint"),
-    ({"checkpoint": "model"}, "volume.path"),
+    ({"centerline": {"checkpoint": "model"}}, "volume.path"),
 ])
 def test_sample_without_its_inputs_fails_before_any_file(tmp_path, config, key):
     with pytest.raises(ValueError, match=re.escape(key)):
