@@ -11,7 +11,6 @@ with no loss.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 _MIN_CONTOUR_POINTS = 8
 _PROMPT_SEARCH_RADIUS = 5  # pixels
@@ -73,6 +72,8 @@ def segment_slice(
             )
         best = np.lexsort((jj[near], ii[near], d2[near]))[0]  # least (d2, i, j)
         seed = (int(ii[near][best]), int(jj[near][best]))
+
+    from scipy import ndimage
 
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
     labels, _ = ndimage.label(above, structure=structure)

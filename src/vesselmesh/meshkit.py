@@ -611,6 +611,11 @@ def merge_branches(main: TriMesh, branch: TriMesh) -> tuple[TriMesh, JunctionRep
 # ---------------------------------------------------------------------------
 # file formats
 
+# a line whose first whitespace-separated token is the key, taken whole
+_OBJ_LINES = {key: re.compile(rf"\n([^\S\n]*{key}(?!\S).*)") for key in "vf"}
+# an index token keeps its text up to the first "/"; a bare "/x" stays and fails
+_INDEX_TAIL = re.compile(r"/(?<=\S/)\S*")
+
 
 def write_obj(mesh: TriMesh, path) -> None:
     """ASCII OBJ, 9 significant digits, 1-based face indices."""
@@ -627,15 +632,12 @@ def read_obj(path) -> TriMesh:
     other lines are ignored.  A ``v`` or ``f`` line with fewer than three
     values raises ``ValueError``.
     """
-    rows = {"v": [], "f": []}
-    for line in Path(path).read_text().splitlines():
-        head = line.split(None, 1)
-        if head and head[0] in rows:
-            rows[head[0]].append(line)
+    # every line break of str.splitlines becomes "\n", and one leads the text
+    text = "\n" + "\n".join(Path(path).read_text().splitlines())
+    rows = {key: pattern.findall(text) for key, pattern in _OBJ_LINES.items()}
     if not rows["v"] or not rows["f"]:
         raise ValueError(f"no mesh data in {path}")
-    # an index token keeps its text up to the first "/"; a bare "/x" stays and fails
-    faces = re.sub(r"(?<=\S)/\S*", "", "\n".join(rows["f"])).split("\n")
+    faces = _INDEX_TAIL.sub("", "\n".join(rows["f"])).split("\n")
     try:
         verts = np.loadtxt(rows["v"], usecols=(1, 2, 3), comments=None, ndmin=2)
         tris = np.loadtxt(faces, dtype=np.int64, usecols=(1, 2, 3), comments=None, ndmin=2)

@@ -9,8 +9,6 @@ optimal assignment and is capped at 256 points per set.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 _EMD_CAP = 256
 
@@ -27,20 +25,26 @@ def _as_points(a) -> np.ndarray:
 
 
 def _nearest_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    from scipy.spatial import cKDTree
+
     d, _ = cKDTree(b).query(a)
     return d
 
 
-def chamfer(a, b) -> float:
+def _chamfer_hausdorff(a, b) -> tuple[float, float]:
+    """Chamfer and Hausdorff distances from one nearest-distance query each way."""
     a = _as_points(a)
     b = _as_points(b)
-    return 0.5 * (float(_nearest_dists(a, b).mean()) + float(_nearest_dists(b, a).mean()))
+    d_ab, d_ba = _nearest_dists(a, b), _nearest_dists(b, a)
+    return 0.5 * (float(d_ab.mean()) + float(d_ba.mean())), max(float(d_ab.max()), float(d_ba.max()))
+
+
+def chamfer(a, b) -> float:
+    return _chamfer_hausdorff(a, b)[0]
 
 
 def hausdorff(a, b) -> float:
-    a = _as_points(a)
-    b = _as_points(b)
-    return max(float(_nearest_dists(a, b).max()), float(_nearest_dists(b, a).max()))
+    return _chamfer_hausdorff(a, b)[1]
 
 
 def emd(a, b) -> float:
@@ -51,6 +55,8 @@ def emd(a, b) -> float:
         raise ValueError(f"EMD needs equal cardinalities, got {len(a)} and {len(b)}")
     if len(a) > _EMD_CAP:
         raise ValueError(f"exact EMD capped at {_EMD_CAP} points, got {len(a)}")
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
@@ -128,8 +134,7 @@ def mesh_metric_report(candidate, reference, seed: int = 0, inputs=None) -> dict
 
     Mask metrics are null in mesh-to-mesh reports; see mask_metric_report.
     """
-    cd_mm = chamfer(candidate.vertices, reference.vertices)
-    hd_mm = hausdorff(candidate.vertices, reference.vertices)
+    cd_mm, hd_mm = _chamfer_hausdorff(candidate.vertices, reference.vertices)
     sa = area_uniform_samples(candidate, _EMD_CAP, seed)
     sb = area_uniform_samples(reference, _EMD_CAP, seed + 1)
     return {

@@ -66,6 +66,12 @@ class PhantomSpec:
             raise ValueError(f"unknown phantom shape {self.shape!r}")
         if self.base_radius_mm <= 0:
             raise ValueError("base_radius_mm must be positive")
+        if self.length_mm <= 0:
+            raise ValueError(f"length_mm must be positive, got {self.length_mm!r}")
+        if min(self.spacing_mm) <= 0:
+            raise ValueError(f"spacing_mm must be positive on every axis, got {self.spacing_mm!r}")
+        if min(self.dims) < 2:
+            raise ValueError(f"dims must be at least 2 on every axis, got {self.dims!r}")
         if self.bump_amplitude <= -1.0:
             raise ValueError("bump amplitude must stay above -1 (lumen never collapses)")
 

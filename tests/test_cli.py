@@ -246,6 +246,11 @@ def _with(section, key, value):
     (["cdm", "train"], {"k": 3, "family": {"count": 2}}, "config key k:"),
     (["cdm", "train"], {"family": {"count": 0}}, "family.count"),
     (["cdm", "train"], {"timesteps": 20, "family": {"count": 2}}, "timesteps"),
+    (["pipeline"], _with("phantom", "length_mm", -5.0), "length_mm"),
+    (["pipeline"], _with("phantom", "length_mm", 0.0), "length_mm"),
+    (["pipeline"], _with("phantom", "spacing_mm", [0, 1, 1]), "spacing_mm"),
+    (["phantom"], _with("phantom", "spacing_mm", [-1, 1, 1]), "spacing_mm"),
+    (["pipeline"], _with("phantom", "dims", [0, 48, 48]), "dims"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"

@@ -337,6 +337,12 @@ def test_read_obj_matches_split_reader_on_written_meshes(tmp_path):
     "v 0 0 0 1.0\nv 1 0 0 1.0\nv 0 1 0 1.0\nv 1 1 0 1.0\nf 1 2 4 3\nf 1 3 4\n",
     # exponents, signs and many digits
     "v -1.5e-3 +2.25E+2 0.333333333333333314829616256247\nv 1e300 -0 1e-300\nv 7 8 9\nf 3 1 2\n",
+    # spaces and tabs before v and f, and a last line without its line end
+    " v 0 0 0\n\tv 1 0 0\n \t v 0 1 0\n  f 1 2 3\n\t f 1/1 3/3 2/2",
+    # vp and other words that start with v or f are ignored
+    "vp 0.5\nv 0 0 0\nvp 0.5 0.5\nv 1 0 0\nv 0 1 0\nfo 1 2 3\nf 1 2 3\nvp 1",
+    # every ASCII line break of str.splitlines, and a lone CR
+    "v 0 0 0\x0bv 1 0 0\x0cv 0 1 0\x1cv 1 1 0\x1df 1 2 3\x1ef 2 4 3\rf 1 3 4",
 ])
 def test_read_obj_matches_split_reader(tmp_path, text):
     path = tmp_path / "m.obj"
@@ -348,6 +354,8 @@ def test_read_obj_matches_split_reader(tmp_path, text):
     "v 0 0\nv 1 0\nv 0 1\nf 1 2 3\n",
     "v 0 0 0\nv 1 0 0\nv 0 1\nf 1 2 3\n",
     "v\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "v 0 0 0\n v\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv",
 ])
 def test_read_obj_rejects_short_vertex_line(tmp_path, text):
     path = tmp_path / "m.obj"
@@ -360,6 +368,8 @@ def test_read_obj_rejects_short_vertex_line(tmp_path, text):
     "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n",
     "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3/1/1 2/1/1\n",
     "v 0 0 0\nv 1 0 0\nv 0 1 0\nf /1 2 3 1\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf\nf 1 2 3\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n\tf \n",
 ])
 def test_read_obj_rejects_short_face_line(tmp_path, text):
     path = tmp_path / "m.obj"

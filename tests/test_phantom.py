@@ -205,6 +205,16 @@ def test_default_bumps_shape_the_radius_profile():
         assert np.array_equal(phantom.radius_profile(spec, s), 6.0 * (1.0 + amp * g))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("length_mm", -5.0), ("length_mm", 0.0),
+    ("spacing_mm", (0.0, 1.0, 1.0)), ("spacing_mm", (1.0, 1.0, -1.0)),
+    ("dims", (0, 48, 48)), ("dims", (48, 1, 48)),
+])
+def test_spec_rejects_impossible_geometry(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        phantom.PhantomSpec(**{field: value})
+
+
 @pytest.mark.parametrize("parse", [phantom.PhantomSpec.from_dict,
                                    lambda doc: phantom.PhantomSpec.from_json(json.dumps(doc))])
 def test_spec_parsing_rejects_unknown_keys(parse):
