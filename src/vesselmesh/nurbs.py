@@ -1,10 +1,11 @@
 """B-spline basis evaluation, surface skinning, grid evaluation, tessellation.
 
-Surfaces follow the classical control-point / knot-vector formulation.  The
-closed direction uses a periodic uniform knot vector with wrapped control
-points (the last ``degree`` control columns replicate the first ones), so
-evaluation needs no special casing at the seam and the closure is
-C^(degree-1).
+Surfaces follow the classical control-point / knot-vector formulation, in
+the one form that skinning builds: cubic and clamped along u, periodic along
+v.  The closed direction uses a periodic uniform knot vector with wrapped
+control points (the last ``degree`` control columns replicate the first
+ones), so evaluation needs no special casing at the seam and the closure is
+C^(degree-1).  Both parameter domains are [0, 1].
 
 All interpolation solves are dense LU with partial pivoting; every solve is
 followed by a residual check (max-norm <= 1e-9) so an ill-conditioned
@@ -30,37 +31,6 @@ _DEGREE_U = 3
 
 class SingularSystemError(RuntimeError):
     """Interpolation system is singular or failed the residual check."""
-
-
-@dataclass(frozen=True)
-class KnotVector:
-    values: np.ndarray
-    style: str  # "clamped" | "periodic"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if (np.diff(vals) < 0).any():
-            raise ValueError("knot vector must be nondecreasing")
-        if self.style not in ("clamped", "periodic"):
-            raise ValueError(f"unknown knot style {self.style!r}")
-        object.__setattr__(self, "values", vals)
-
-    def check_style(self, degree: int) -> None:
-        """Style invariants need the degree: clamped ends have multiplicity
-        degree+1; periodic knots repeat with the domain period."""
-        v = self.values
-        n_ctrl = len(v) - degree - 1
-        if self.style == "clamped":
-            if not (np.all(v[: degree + 1] == v[0]) and np.all(v[-degree - 1 :] == v[-1])):
-                raise ValueError("clamped knot vector needs degree+1 end multiplicity")
-        else:
-            core = n_ctrl - degree  # wrapped control points repeat after this many
-            period = v[n_ctrl] - v[degree]
-            if core < 1 or period <= 0:
-                raise ValueError("degenerate periodic knot vector")
-            shifted = v[core : core + 2 * degree + 1] - period
-            if np.abs(shifted - v[: 2 * degree + 1]).max() > 1e-9 * max(1.0, period):
-                raise ValueError("periodic knot vector spacing is not wrap-consistent")
 
 
 def find_span(knots: np.ndarray, degree: int, u, n_ctrl: int):
@@ -218,71 +188,64 @@ def _bessel_system(t: np.ndarray, q: np.ndarray):
 
 @dataclass(frozen=True)
 class NurbsSurface:
-    """Tensor-product surface, clamped along u, periodic (wrapped) along v.
+    """Tensor-product surface, cubic and clamped along u, periodic along v.
 
+    knots_u is clamped on [0, 1]: four zeros, the inner knots, four ones.
+    knots_v is the periodic uniform vector (i - degree_v) / (n - degree_v)
+    for i = 0 .. n + degree_v, so the v domain is [0, 1] too.
     control_points has shape (m, n, 3); the last degree_v columns replicate
     the first degree_v ones (periodic closure).  weights has shape (m, n),
     all strictly positive.
     """
 
-    degree_u: int
     degree_v: int
-    knots_u: KnotVector
-    knots_v: KnotVector
+    knots_u: np.ndarray
+    knots_v: np.ndarray
     control_points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
+        ku = np.asarray(self.knots_u, dtype=np.float64)
+        kv = np.asarray(self.knots_v, dtype=np.float64)
         cp = np.asarray(self.control_points, dtype=np.float64)
         w = np.asarray(self.weights, dtype=np.float64)
-        m_expect = len(self.knots_u.values) - self.degree_u - 1
-        n_expect = len(self.knots_v.values) - self.degree_v - 1
+        qv = self.degree_v
+        m_expect, n_expect = len(ku) - _DEGREE_U - 1, len(kv) - qv - 1
         if cp.shape[:2] != (m_expect, n_expect) or w.shape != (m_expect, n_expect):
             raise ValueError(
                 f"net {cp.shape[:2]} inconsistent with knots "
-                f"({m_expect}, {n_expect}) at degrees "
-                f"({self.degree_u}, {self.degree_v})"
+                f"({m_expect}, {n_expect}) at degrees ({_DEGREE_U}, {qv})"
             )
         if (w <= 0).any():
             raise ValueError("weights must be strictly positive")
-        if self.knots_v.style == "periodic":
-            qv = self.degree_v
-            if not np.allclose(cp[:, -qv:], cp[:, :qv], atol=1e-12):
-                raise ValueError("periodic v direction requires wrapped control columns")
-        self.knots_u.check_style(self.degree_u)
-        self.knots_v.check_style(self.degree_v)
-        object.__setattr__(self, "control_points", cp)
-        object.__setattr__(self, "weights", w)
+        ends = _DEGREE_U + 1
+        if (np.diff(ku) < 0).any() or (ku[:ends] != 0.0).any() or (ku[-ends:] != 1.0).any():
+            raise ValueError(f"knots_u must be nondecreasing, with {ends} zeros first and {ends} ones last")
+        if qv < 1 or n_expect <= qv or not np.array_equal(kv, (np.arange(len(kv)) - qv) / (n_expect - qv)):
+            raise ValueError(f"knots_v must be the periodic uniform knots (i - {qv}) / (n - {qv})")
+        if not np.allclose(cp[:, -qv:], cp[:, :qv], atol=1e-12):
+            raise ValueError("periodic v direction requires wrapped control columns")
+        for name, value in (("knots_u", ku), ("knots_v", kv), ("control_points", cp), ("weights", w)):
+            object.__setattr__(self, name, value)
 
     @property
     def net_dims(self) -> tuple[int, int]:
         return self.control_points.shape[0], self.control_points.shape[1]
 
-    def domain_u(self) -> tuple[float, float]:
-        kv = self.knots_u.values
-        return float(kv[self.degree_u]), float(kv[self.control_points.shape[0]])
-
-    def domain_v(self) -> tuple[float, float]:
-        kv = self.knots_v.values
-        return float(kv[self.degree_v]), float(kv[self.control_points.shape[1]])
-
 
 def eval_surface_grid(surface: NurbsSurface, us, vs) -> np.ndarray:
-    """Evaluate on a (len(us), len(vs)) parameter grid; v wraps if periodic.
+    """Evaluate on a (len(us), len(vs)) parameter grid; v wraps with period 1.
 
-    Sums only the (degree_u+1)(degree_v+1) nonzero basis products per
+    Sums only the (_DEGREE_U+1)(degree_v+1) nonzero basis products per
     point, u term outer, v term inner, each as (bu * wcp) * bv.  These are
     the order and the products of the dense contraction over full basis
     matrices (the reference in tests/test_nurbs.py), whose other terms are
     exact zeros, so both give the same bits.
     """
-    vlo, vhi = surface.domain_v()
-    vs = np.asarray(vs, dtype=np.float64)
-    if surface.knots_v.style == "periodic":
-        vs = vlo + (vs - vlo) % (vhi - vlo)
-    pu, pv = surface.degree_u, surface.degree_v
-    su, bu = basis_functions(surface.knots_u.values, pu, np.atleast_1d(us))
-    sv, bv = basis_functions(surface.knots_v.values, pv, np.atleast_1d(vs))
+    vs = np.asarray(vs, dtype=np.float64) % 1.0
+    pu, pv = _DEGREE_U, surface.degree_v
+    su, bu = basis_functions(surface.knots_u, pu, np.atleast_1d(us))
+    sv, bv = basis_functions(surface.knots_v, pv, np.atleast_1d(vs))
     w = surface.weights
     wcp = surface.control_points * w[:, :, None]
     num = np.zeros((len(su), len(sv), 3))
@@ -334,14 +297,7 @@ def skin_surface(contours, degree_v: int = 3) -> NurbsSurface:
 
     net_wrapped = np.concatenate([net, net[:, :degree_v, :]], axis=1)
     weights = np.ones(net_wrapped.shape[:2])
-    return NurbsSurface(
-        degree_u=_DEGREE_U,
-        degree_v=degree_v,
-        knots_u=KnotVector(knots_u, "clamped"),
-        knots_v=KnotVector(knots_v, "periodic"),
-        control_points=net_wrapped,
-        weights=weights,
-    )
+    return NurbsSurface(degree_v, knots_u, knots_v, net_wrapped, weights)
 
 
 def tessellate(surface: NurbsSurface, nu: int, nv: int, caps: bool = True):
@@ -352,10 +308,8 @@ def tessellate(surface: NurbsSurface, nu: int, nv: int, caps: bool = True):
     """
     if nu < 16 or nv < 16:
         raise ValueError("tessellation needs nu >= 16 and nv >= 16")
-    ulo, uhi = surface.domain_u()
-    vlo, vhi = surface.domain_v()
-    us = np.linspace(ulo, uhi, nu)
-    vs = vlo + (vhi - vlo) * np.arange(nv) / nv
+    us = np.linspace(0.0, 1.0, nu)
+    vs = np.arange(nv) / nv
     rings = eval_surface_grid(surface, us, vs)
     return loft_rings(rings, caps=caps)
 
@@ -364,13 +318,18 @@ def tessellate(surface: NurbsSurface, nu: int, nv: int, caps: bool = True):
 # serialization
 
 
+# the one form a surface document may declare: its v degree goes in the
+# second slot of "degrees"
+_KNOT_STYLES = ("clamped", "periodic")
+
+
 def surface_to_dict(surface: NurbsSurface) -> dict:
     m, n = surface.net_dims
     return {
-        "degrees": [surface.degree_u, surface.degree_v],
-        "knots_u": surface.knots_u.values.tolist(),
-        "knots_v": surface.knots_v.values.tolist(),
-        "knot_styles": [surface.knots_u.style, surface.knots_v.style],
+        "degrees": [_DEGREE_U, surface.degree_v],
+        "knots_u": surface.knots_u.tolist(),
+        "knots_v": surface.knots_v.tolist(),
+        "knot_styles": list(_KNOT_STYLES),
         "net_dims": [m, n],
         "control_points": surface.control_points.reshape(m * n, 3).tolist(),
         "weights": surface.weights.reshape(m * n).tolist(),
@@ -378,12 +337,18 @@ def surface_to_dict(surface: NurbsSurface) -> dict:
 
 
 def surface_from_dict(doc: dict) -> NurbsSurface:
+    """The surface of a parsed document; raises ValueError naming "degrees" or
+    "knot_styles" when they declare any form but cubic clamped u, periodic v."""
+    degrees, styles = doc["degrees"], doc["knot_styles"]
+    if not (isinstance(degrees, list) and len(degrees) == 2 and degrees[0] == _DEGREE_U):
+        raise ValueError(f"surface degrees must be [{_DEGREE_U}, degree_v], got {degrees!r}")
+    if styles != list(_KNOT_STYLES):
+        raise ValueError(f"surface knot_styles must be {list(_KNOT_STYLES)!r}, got {styles!r}")
     m, n = (int(x) for x in doc["net_dims"])
     return NurbsSurface(
-        degree_u=int(doc["degrees"][0]),
-        degree_v=int(doc["degrees"][1]),
-        knots_u=KnotVector(np.asarray(doc["knots_u"]), doc["knot_styles"][0]),
-        knots_v=KnotVector(np.asarray(doc["knots_v"]), doc["knot_styles"][1]),
+        degree_v=int(degrees[1]),
+        knots_u=np.asarray(doc["knots_u"]),
+        knots_v=np.asarray(doc["knots_v"]),
         control_points=np.asarray(doc["control_points"]).reshape(m, n, 3),
         weights=np.asarray(doc["weights"]).reshape(m, n),
     )

@@ -62,18 +62,23 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the field's name, which resolve_config
+        # turns into the config key
         if self.shape not in SHAPES:
-            raise ValueError(f"unknown phantom shape {self.shape!r}")
+            raise ValueError(f"shape must be one of {', '.join(SHAPES)}, got {self.shape!r}")
         if self.base_radius_mm <= 0:
-            raise ValueError("base_radius_mm must be positive")
+            raise ValueError(f"base_radius_mm must be positive, got {self.base_radius_mm!r}")
         if self.length_mm <= 0:
             raise ValueError(f"length_mm must be positive, got {self.length_mm!r}")
         if min(self.spacing_mm) <= 0:
             raise ValueError(f"spacing_mm must be positive on every axis, got {self.spacing_mm!r}")
         if min(self.dims) < 2:
             raise ValueError(f"dims must be at least 2 on every axis, got {self.dims!r}")
+        if self.wall_softness_mm is not None and self.wall_softness_mm <= 0:
+            raise ValueError(f"wall_softness_mm must be positive, got {self.wall_softness_mm!r}")
         if self.bump_amplitude <= -1.0:
-            raise ValueError("bump amplitude must stay above -1 (lumen never collapses)")
+            raise ValueError(f"bump_amplitude must stay above -1 (lumen never collapses), "
+                             f"got {self.bump_amplitude!r}")
 
     @property
     def wall_softness(self) -> float:

@@ -47,8 +47,9 @@ def _read_json(path):
 
 # Every config key and its default, for every command: section -> key ->
 # default.  `resolve_config` takes a value only of its default's type (see
-# `_cast`); keys whose default is None pass through, and a given `phantom`
-# section is resolved against PhantomSpec's field defaults into a PhantomSpec.
+# `_cast`); keys whose default is None pass through (as floats, for those in
+# `_OPTIONAL_FLOATS`), and a given `phantom` section is resolved against
+# PhantomSpec's field defaults into a PhantomSpec.
 _DEFAULTS = {
     "seed": cdm.TrainConfig.seed,
     "out": None,
@@ -77,13 +78,15 @@ _PHANTOM = {name: f.default for name, f in phantom.PhantomSpec.__dataclass_field
 # reads the phantom)
 _CENTERLINE_INPUT = {"analytic": None, "csv": "path", "cdm": "checkpoint"}
 
+# the keys that default to None and take a number when given, resolved as floats
+_OPTIONAL_FLOATS = ("slice.half_extent_mm", "phantom.wall_softness_mm")
+
 # the limits that a stage checks too (dotted key -> test, what it needs):
 # resolving checks them first, so a bad value fails before any file is written
 _LIMITS = {
     "centerline.k": (lambda v: v >= 4, "at least 4"),
     "slice.n_pix": (lambda v: v >= 16, "at least 16"),
-    "slice.half_extent_mm": (lambda v: v is None or _cast(v, 1.0) > 0, "positive"),
-    "phantom.wall_softness_mm": (lambda v: v is None or _cast(v, 1.0) > 0, "positive"),
+    "slice.half_extent_mm": (lambda v: v is None or v > 0, "positive"),
     "contours.points": (lambda v: v >= 8, "at least 8"),
     "contours.threshold": (lambda v: 0 < v < 1, "strictly between 0 and 1"),
     "surface.degree_v": (lambda v: v >= 1, "at least 1"),
@@ -95,6 +98,7 @@ _LIMITS = {
     "batch_size": (lambda v: v >= 1, "at least 1"),
     "iterations": (lambda v: v >= 1, "at least 1"),
     "family.count": (lambda v: v >= 1, "at least 1"),
+    "family.radius_range_mm": (lambda v: min(v) > 0, "positive"),
 }
 
 
@@ -112,15 +116,25 @@ def _cast(value, default):
     return type(default)(value)
 
 
+def _phantom_spec(where: str, **fields) -> phantom.PhantomSpec:
+    """PhantomSpec(**fields); its ValueError, which starts with the field's
+    name, is raised again naming the config key, `where` + field."""
+    try:
+        return phantom.PhantomSpec(**fields)
+    except ValueError as exc:
+        raise ValueError(f"config key {where}{exc}") from exc
+
+
 def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
     """The config with every default filled in and every value cast.
 
     Raises ValueError naming the dotted path of the first non-object
     section, unknown key, value of the wrong type or value outside its
     ``_LIMITS``, the centerline key that the chosen ``centerline.source``
-    needs and the config leaves out, or the pair ``surface.degree_v`` and
+    needs and the config leaves out, the pair ``surface.degree_v`` and
     ``contours.points`` when no closed curve of that degree interpolates
-    that many points.
+    that many points, or the ``phantom`` or ``family`` field that makes an
+    impossible PhantomSpec (the family's at the smallest radius of its range).
     """
     if not isinstance(config, dict):
         raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
@@ -134,14 +148,20 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
             resolved[key] = resolve_config(value, default, f"{where}{key}.")
             continue
         if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
-            value = phantom.PhantomSpec(**resolve_config(value, _PHANTOM, "phantom."))
+            value = _phantom_spec("phantom.", **resolve_config(value, _PHANTOM, "phantom."))
         try:
+            if default is None and value is not None and where + key in _OPTIONAL_FLOATS:
+                default = 1.0
             resolved[key] = value if default is None else _cast(value, default)
             test, need = _LIMITS.get(where + key, (None, None))
             if test is not None and not test(resolved[key]):
                 raise ValueError(f"must be {need}, got {value!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {where}{key}: {exc}") from exc
+    if defaults is _DEFAULTS["family"]:  # the family's geometry, at its thinnest tube
+        _phantom_spec(where, shape=resolved["shape"], length_mm=resolved["length_mm"],
+                      base_radius_mm=min(resolved["radius_range_mm"]), dims=resolved["dims"],
+                      spacing_mm=resolved["spacing_mm"], wall_softness_mm=resolved["wall_softness_mm"])
     if defaults is _DEFAULTS:
         source = resolved["centerline"]["source"]
         if source not in _CENTERLINE_INPUT:
@@ -243,12 +263,12 @@ def _slice_geometry(config: dict, out: Path):
     anchors = cl.read_csv(out / "centerline.csv")
     half_extent = config["slice"]["half_extent_mm"]
     if half_extent is None:
-        if config["phantom"] is not None:
-            spec = phantom.load_spec(out / "phantom_spec.json")
-            half_extent = 4.0 * phantom.peak_radius(spec)
-        else:
+        # the phantom stage's artifact, as the analytic centerline source reads it
+        spec_path = out / "phantom_spec.json"
+        if not spec_path.exists():
             raise ValueError("slice.half_extent_mm is required for non-phantom volumes")
-    return vol, anchors, cl.frames(anchors), float(half_extent), config["slice"]["n_pix"]
+        half_extent = 4.0 * phantom.peak_radius(phantom.load_spec(spec_path))
+    return vol, anchors, cl.frames(anchors), half_extent, config["slice"]["n_pix"]
 
 
 def stage_slices(config: dict, out: Path) -> Path:
@@ -414,7 +434,7 @@ def compare_baseline(config: dict, out) -> Path:
         raise StageError("metrics", "baseline comparison requires a ground-truth surface")
     with _stage("compare"):
         vol = load_raw(out / "volume.f32raw")
-        mc = marching_cubes(vol, config["baseline"]["iso"]).clean()
+        mc = marching_cubes(vol, config["baseline"]["iso"])
         write_obj(mc, out / "mc_mesh.obj")
         mc_report = validate(mc)
         gt_path, label = _reference_mesh(config, out)

@@ -123,8 +123,8 @@ def test_criterion_3_nurbs_suite():
     rng = np.random.default_rng(2)
     us = rng.uniform(0, 1, 1000)
     vs = rng.uniform(0, 1, 1000)
-    bu = nurbs.basis_matrix(surf.knots_u.values, 3, m, us)
-    bv = nurbs.basis_matrix(surf.knots_v.values, 3, n, vs)
+    bu = nurbs.basis_matrix(surf.knots_u, 3, m, us)
+    bv = nurbs.basis_matrix(surf.knots_v, 3, n, vs)
     pou_err = np.abs(bu.sum(axis=1) * bv.sum(axis=1) - 1.0).max()
     assert pou_err <= 1e-12
 
@@ -137,7 +137,7 @@ def test_criterion_3_nurbs_suite():
     assert resid <= 1e-9
 
     scaled = nurbs.NurbsSurface(
-        surf.degree_u, surf.degree_v, surf.knots_u, surf.knots_v,
+        surf.degree_v, surf.knots_u, surf.knots_v,
         surf.control_points, surf.weights * 10.0,
     )
     base = nurbs.eval_surface_grid(surf, us[:100], vs[:100])

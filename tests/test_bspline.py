@@ -358,7 +358,7 @@ def test_skin_net_matches_per_section_solves(degree_v):
     surf = nurbs.skin_surface(stacks, degree_v=degree_v)
 
     per_section = [_ref_closed_curve(p, degree_v) for p in stacks]
-    assert np.array_equal(surf.knots_v.values, per_section[0][0])
+    assert np.array_equal(surf.knots_v, per_section[0][0])
     sect = np.stack([ctrl[:m] for _, ctrl in per_section])
     pts = np.stack(stacks)
     t_bar = np.stack([nurbs.chord_parameters(pts[:, j]) for j in range(m)]).mean(axis=0)

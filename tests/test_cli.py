@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vesselmesh import centerline as cl, lumenseg, meshkit, phantom, pipeline, slicer
+from vesselmesh import centerline as cl, lumenseg, meshkit, nurbs, phantom, pipeline, slicer
 from vesselmesh.volume import Volume, store_raw
 
 
@@ -71,6 +71,61 @@ def test_staged_equals_pipeline(tiny_config):
                  "contours.json", "surface.nurbs.json", "mesh.obj", "mesh.stl",
                  "topology.json"):
         assert (ref / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+def test_stages_after_phantom_spec_equal_pipeline(tiny_config):
+    path, cfg, root = tiny_config
+    ref = root / "pipe"
+    if not (ref / "mesh.obj").exists():
+        assert _run("pipeline", "--config", str(path), "--out", str(ref)).returncode == 0
+    spec_path = root / "tiny_spec.json"
+    spec_path.write_text(json.dumps(cfg["phantom"]))
+    no_phantom = root / "no_phantom.json"
+    no_phantom.write_text(json.dumps({key: v for key, v in cfg.items() if key != "phantom"}))
+    staged = root / "staged_spec"
+    res = _run("phantom", "--spec", str(spec_path), "--out", str(staged))
+    assert res.returncode == 0, res.stdout + res.stderr
+    for cmd in ("centerline", "segment", "contours", "fit", "mesh"):
+        res = _run(cmd, "--config", str(no_phantom), "--out", str(staged))
+        assert res.returncode == 0, f"{cmd}: {res.stdout}{res.stderr}"
+    for name in ("volume.f32raw", "phantom_spec.json", "centerline.csv", "contours_raw.json",
+                 "contours.json", "surface.nurbs.json", "mesh.obj", "mesh.stl", "topology.json"):
+        assert (ref / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+def _flat_sheet_doc():
+    """A 4 x 4 bicubic sheet, clamped along both directions."""
+    knots = [0.0] * 4 + [1.0] * 4
+    grid = [[float(i), float(j), 0.0] for i in range(4) for j in range(4)]
+    return {"degrees": [3, 3], "knots_u": knots, "knots_v": knots, "knot_styles": ["clamped", "clamped"],
+            "net_dims": [4, 4], "control_points": grid, "weights": [1.0] * 16}
+
+
+def _quadratic_u_doc():
+    """A skinned tube whose document declares quadratic u with matching knots."""
+    theta = 2 * np.pi * np.arange(16) / 16
+    stacks = [np.column_stack([5 * np.cos(theta), 5 * np.sin(theta), np.full(16, z)])
+              for z in np.linspace(0, 20, 6)]
+    doc = nurbs.surface_to_dict(nurbs.skin_surface(stacks))
+    m = doc["net_dims"][0]
+    doc["degrees"] = [2, 3]
+    doc["knots_u"] = [0.0] * 3 + np.linspace(0.0, 1.0, m - 1)[1:-1].tolist() + [1.0] * 3
+    return doc
+
+
+@pytest.mark.parametrize("doc, named", [(_flat_sheet_doc(), "knot_styles"), (_quadratic_u_doc(), "degrees")])
+def test_mesh_rejects_other_surface_forms(tmp_path, doc, named):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "surface.nurbs.json").write_text(json.dumps(doc))
+    path = tmp_path / "cfg.json"
+    path.write_text("{}")
+    res = _run("mesh", "--config", str(path), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    err = json.loads(res.stdout.strip().splitlines()[-1])
+    assert err["stage"] == "mesh"
+    assert f"surface {named} must be" in err["error"]
+    assert not (out / "mesh.obj").exists()
 
 
 def test_missing_volume_error_json(tmp_path):
@@ -251,6 +306,16 @@ def _with(section, key, value):
     (["pipeline"], _with("phantom", "spacing_mm", [0, 1, 1]), "spacing_mm"),
     (["phantom"], _with("phantom", "spacing_mm", [-1, 1, 1]), "spacing_mm"),
     (["pipeline"], _with("phantom", "dims", [0, 48, 48]), "dims"),
+    (["pipeline"], _with("phantom", "length_mm", -5.0), "config key phantom.length_mm must be positive"),
+    (["pipeline"], _with("phantom", "shape", "blob"), "config key phantom.shape"),
+    (["phantom"], _with("phantom", "wall_softness_mm", 0), "config key phantom.wall_softness_mm"),
+    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "length_mm": -5.0}},
+     "config key family.length_mm must be positive"),
+    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "shape": "blob"}}, "config key family.shape"),
+    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_range_mm": [-1.0, 2.0]}},
+     "config key family.radius_range_mm"),
+    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "spacing_mm": [0, 1.2, 1.2]}},
+     "config key family.spacing_mm"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"

@@ -197,8 +197,8 @@ def test_rational_eval_matches_nonrational_for_unit_weights():
     rng = np.random.default_rng(5)
     m, n = surf.net_dims
     us, vs = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
-    bu = nurbs.basis_matrix(surf.knots_u.values, surf.degree_u, m, us)
-    bv = nurbs.basis_matrix(surf.knots_v.values, surf.degree_v, n, vs)
+    bu = nurbs.basis_matrix(surf.knots_u, nurbs._DEGREE_U, m, us)
+    bv = nurbs.basis_matrix(surf.knots_v, surf.degree_v, n, vs)
     nonrational = np.einsum("um,mnk,vn->uvk", bu, surf.control_points, bv)
     assert np.abs(nurbs.eval_surface_grid(surf, us, vs) - nonrational).max() <= 1e-12
 
@@ -207,11 +207,11 @@ def test_eval_affine_and_weight_scale_invariance():
     stacks = _circle_contours(3.0, 16, np.linspace(0, 10, 5))
     surf = nurbs.skin_surface(stacks)
     shifted = nurbs.NurbsSurface(
-        surf.degree_u, surf.degree_v, surf.knots_u, surf.knots_v,
+        surf.degree_v, surf.knots_u, surf.knots_v,
         surf.control_points + np.array([1.0, -2.0, 3.0]), surf.weights,
     )
     scaled = nurbs.NurbsSurface(
-        surf.degree_u, surf.degree_v, surf.knots_u, surf.knots_v,
+        surf.degree_v, surf.knots_u, surf.knots_v,
         surf.control_points, surf.weights * 10.0,
     )
     rng = np.random.default_rng(6)
@@ -228,8 +228,8 @@ def test_tensor_partition_of_unity():
     rng = np.random.default_rng(7)
     us = rng.uniform(0, 1, 1000)
     vs = rng.uniform(0, 1, 1000)
-    bu = nurbs.basis_matrix(surf.knots_u.values, surf.degree_u, m, us)
-    bv = nurbs.basis_matrix(surf.knots_v.values, surf.degree_v, n, vs)
+    bu = nurbs.basis_matrix(surf.knots_u, nurbs._DEGREE_U, m, us)
+    bv = nurbs.basis_matrix(surf.knots_v, surf.degree_v, n, vs)
     # sum over the tensor-product blend factorizes into row-sum products
     total = bu.sum(axis=1) * bv.sum(axis=1)
     assert np.abs(total - 1.0).max() <= 1e-12
@@ -243,10 +243,10 @@ def test_local_support():
     iu, iv = 5, 4
     cp[iu, iv] += np.array([0.0, 0.0, 1.0])
     bumped = nurbs.NurbsSurface(
-        surf.degree_u, surf.degree_v, surf.knots_u, surf.knots_v, cp, surf.weights
+        surf.degree_v, surf.knots_u, surf.knots_v, cp, surf.weights
     )
-    ku = surf.knots_u.values
-    kv = surf.knots_v.values
+    ku = surf.knots_u
+    kv = surf.knots_v
     # support of N_{iu,3} x N_{iv,3}
     u_lo, u_hi = ku[iu], ku[iu + 4]
     v_lo, v_hi = kv[iv], kv[iv + 4]
@@ -304,8 +304,8 @@ def test_interpolation_residual_invariant():
     stacks = centers[:, None] + _circle(16, radius=1.5) + rng.normal(scale=0.1, size=(12, 16, 3))
     surf = nurbs.skin_surface(stacks)
     m, n = surf.net_dims
-    bu = nurbs.basis_matrix(surf.knots_u.values, 3, m, _t_bar(stacks))
-    bv = nurbs.basis_matrix(surf.knots_v.values, 3, n, np.arange(16) / 16)
+    bu = nurbs.basis_matrix(surf.knots_u, 3, m, _t_bar(stacks))
+    bv = nurbs.basis_matrix(surf.knots_v, 3, n, np.arange(16) / 16)
     resid = np.abs(np.einsum("um,mnk,vn->uvk", bu, surf.control_points, bv) - stacks).max()
     assert resid <= 1e-9
 
@@ -317,26 +317,35 @@ def test_surface_json_round_trip(tmp_path):
     again = nurbs.read_surface_json(tmp_path / "s.json")
     assert again.net_dims == surf.net_dims
     assert np.array_equal(again.control_points, surf.control_points)
-    assert np.array_equal(again.knots_u.values, surf.knots_u.values)
+    assert np.array_equal(again.knots_u, surf.knots_u)
     assert np.array_equal(again.weights, surf.weights)
     nurbs.write_surface_json(again, tmp_path / "s2.json")
     assert (tmp_path / "s.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
 
 
 def test_knot_vector_style_invariants():
-    good_clamped = nurbs.KnotVector(np.array([0, 0, 0, 0, 0.5, 1, 1, 1, 1.0]), "clamped")
-    good_clamped.check_style(3)
-    bad = nurbs.KnotVector(np.array([0, 0, 0, 0.5, 1, 1, 1, 1.0]), "clamped")
-    with pytest.raises(ValueError, match="multiplicity"):
-        bad.check_style(3)
+    surf = nurbs.skin_surface(_circle_contours(4.0, 8, np.linspace(0, 10, 6)))
+    ku, kv = surf.knots_u, surf.knots_v
 
-    m = 8
-    per = nurbs.KnotVector((np.arange(m + 7) - 3) / m, "periodic")
-    per.check_style(3)
-    vals = (np.arange(m + 7) - 3) / m
-    vals[-1] += 0.2  # break the wrap spacing
-    with pytest.raises(ValueError, match="wrap"):
-        nurbs.KnotVector(vals, "periodic").check_style(3)
+    def rebuilt(knots_u, knots_v):
+        return nurbs.NurbsSurface(surf.degree_v, knots_u, knots_v, surf.control_points, surf.weights)
+
+    assert np.array_equal(rebuilt(ku.tolist(), kv.tolist()).knots_v, kv)
+    unclamped = ku.copy()
+    unclamped[3] = 0.01  # three zeros at the start
+    decreasing = ku.copy()
+    decreasing[[5, 6]] = decreasing[[6, 5]]
+    for bad in (unclamped, decreasing, ku * 2.0):
+        with pytest.raises(ValueError, match="knots_u"):
+            rebuilt(bad, kv)
+
+    m = len(kv) - 2 * 3 - 1
+    assert np.array_equal(kv, (np.arange(m + 7) - 3) / m)
+    unwrapped = kv.copy()
+    unwrapped[-1] += 0.2  # break the wrap spacing
+    for bad in (unwrapped, kv + 0.5, kv * (1 + 1e-15)):
+        with pytest.raises(ValueError, match="knots_v"):
+            rebuilt(ku, bad)
 
 
 def test_skin_batched_solve_matches_per_column_solves():
@@ -348,7 +357,7 @@ def test_skin_batched_solve_matches_per_column_solves():
     _, amat = nurbs._periodic_system(24, 3)
     sect = np.stack([nurbs._solve_checked(amat, p) for p in pts])
     knots, rows, rhs = nurbs._bessel_system(_t_bar(pts), sect)
-    assert np.array_equal(knots, surf.knots_u.values)
+    assert np.array_equal(knots, surf.knots_u)
     for j in range(24):
         assert np.array_equal(surf.control_points[:, j], np.linalg.solve(rows, rhs[:, j]))
 
@@ -370,14 +379,15 @@ def test_solve_checked_scales_each_column(monkeypatch):
 
 
 def _einsum_surface_grid(surface, us, vs):
-    """The dense-basis grid evaluator that the sparse sum replaced, verbatim."""
-    vlo, vhi = surface.domain_v()
-    vs = np.asarray(vs, dtype=np.float64)
-    if surface.knots_v.style == "periodic":
-        vs = vlo + (vs - vlo) % (vhi - vlo)
+    """The dense-basis grid evaluator that the sparse sum replaced, with its
+    arithmetic: v wraps into the knots' domain [vlo, vhi] as
+    vlo + (v - vlo) % (vhi - vlo)."""
     m, n = surface.net_dims
-    bu = nurbs.basis_matrix(surface.knots_u.values, surface.degree_u, m, us)
-    bv = nurbs.basis_matrix(surface.knots_v.values, surface.degree_v, n, vs)
+    vlo, vhi = float(surface.knots_v[surface.degree_v]), float(surface.knots_v[n])
+    vs = np.asarray(vs, dtype=np.float64)
+    vs = vlo + (vs - vlo) % (vhi - vlo)
+    bu = nurbs.basis_matrix(surface.knots_u, nurbs._DEGREE_U, m, us)
+    bv = nurbs.basis_matrix(surface.knots_v, surface.degree_v, n, vs)
     wcp = surface.control_points * surface.weights[:, :, None]
     num = np.einsum("um,mnk,vn->uvk", bu, wcp, bv)
     den = np.einsum("um,mn,vn->uv", bu, surface.weights, bv)
@@ -399,7 +409,7 @@ def test_grid_matches_dense_einsum_bit_for_bit(seed):
     if seed == 0:  # random positive non-unit weights, wrapped like the columns
         w = rng.uniform(0.3, 3.0, surf.weights.shape)
         w[:, -surf.degree_v:] = w[:, :surf.degree_v]
-        surf = nurbs.NurbsSurface(surf.degree_u, surf.degree_v, surf.knots_u, surf.knots_v,
+        surf = nurbs.NurbsSurface(surf.degree_v, surf.knots_u, surf.knots_v,
                                   surf.control_points, w)
     for nu, nv in ((16, 16), (48, 48), (64, 64), (17, 33), (128, 96), (256, 256)):
         us = np.linspace(0.0, 1.0, nu)

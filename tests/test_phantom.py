@@ -209,6 +209,7 @@ def test_default_bumps_shape_the_radius_profile():
     ("length_mm", -5.0), ("length_mm", 0.0),
     ("spacing_mm", (0.0, 1.0, 1.0)), ("spacing_mm", (1.0, 1.0, -1.0)),
     ("dims", (0, 48, 48)), ("dims", (48, 1, 48)),
+    ("shape", "blob"), ("base_radius_mm", 0.0), ("wall_softness_mm", 0.0), ("bump_amplitude", -1.0),
 ])
 def test_spec_rejects_impossible_geometry(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):

@@ -454,6 +454,30 @@ def test_numbers_widen_to_float_and_tuples_take_lists():
     assert all(type(v) is float for v in resolved["family"]["spacing_mm"])
 
 
+def test_optional_numbers_resolve_to_float(tmp_path):
+    cfg = _tiny_config(slice={"half_extent_mm": 20})
+    cfg["phantom"]["wall_softness_mm"] = 1
+    resolved = pipeline.resolve_config(cfg)
+    assert type(resolved["slice"]["half_extent_mm"]) is float
+    assert type(resolved["phantom"].wall_softness_mm) is float
+    pipeline.stage_volume(cfg, tmp_path)
+    spec = json.loads((tmp_path / "phantom_spec.json").read_text())
+    assert type(spec["wall_softness_mm"]) is float and type(spec["length_mm"]) is float
+
+
+@pytest.mark.parametrize("family, key", [
+    ({"length_mm": -5.0}, "config key family.length_mm must be positive"),
+    ({"shape": "blob"}, "config key family.shape must be one of"),
+    ({"spacing_mm": [0, 1.2, 1.2]}, "config key family.spacing_mm must be positive"),
+    ({"radius_range_mm": [-1.0, 2.0]}, "config key family.radius_range_mm: must be positive"),
+    ({"wall_softness_mm": 0.0}, "config key family.wall_softness_mm must be positive"),
+])
+def test_family_geometry_fails_before_training(tmp_path, family, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        pipeline.train_cdm({"iterations": 1, "family": {"count": 2, **family}}, tmp_path / "train")
+    assert not (tmp_path / "train").exists()
+
+
 def test_unknown_family_key_fails_before_training(tmp_path):
     with pytest.raises(ValueError, match="family.radius_mm"):
         pipeline.train_cdm({"family": {"radius_mm": 5.0}}, tmp_path / "train")
