@@ -164,6 +164,45 @@ _PAIR_CHUNK = 1 << 16  # candidate pairs per batch; bounds the working memory
 # or coordinates run along the leading axis, element-wise over P.
 
 
+def _median_cell(ext: np.ndarray) -> float:
+    """Grid cell edge for boxes of extents ext (D, N): the median box extent."""
+    cell = float(np.median(ext.max(axis=0))) if ext.size else 0.0
+    if cell <= 0:
+        cell = max(float(ext.max(initial=0.0)), 1e-9)
+    return cell
+
+
+def _grid_entries(ilo: np.ndarray, span: np.ndarray, dims):
+    """One entry per (box, grid cell it touches), sorted by cell.
+
+    ilo and span are (D, N) integer boxes: box n covers cells ilo[a, n] ..
+    ilo[a, n] + span[a, n] - 1 on each axis a of a grid of dims cells (a
+    span of 0 covers none).  Returns (box, key, low): each entry's box, the
+    flat C-order key of its cell, and a bit per axis, 1 << a, set where the
+    cell is the box's low cell on axis a.  Boxes stay ascending inside each
+    cell.
+    """
+    strides = np.array([np.prod(dims[a + 1:], dtype=np.int64) for a in range(len(dims))])
+    ncell = span.prod(axis=0)
+    box = np.repeat(np.arange(ilo.shape[1]), ncell)
+    k = np.arange(len(box)) - np.repeat(np.cumsum(ncell) - ncell, ncell)
+    key = (strides @ ilo)[box]
+    low = np.zeros(len(box), dtype=np.uint8)
+    # the last axis runs fastest through a box's cells
+    for a in range(len(dims) - 1, 0, -1):
+        s = span[a, box]
+        o = k % s
+        k //= s
+        key += o * strides[a]
+        low |= (o == 0).astype(np.uint8) << a
+    key += k * strides[0]
+    low |= (k == 0).astype(np.uint8)
+    del k
+    # the stable sort keeps boxes ascending inside each cell
+    order = np.argsort(key, kind="stable")
+    return box[order], key[order], low[order]
+
+
 def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
     """Yield (i, j), i < j, of every triangle pair whose closed bboxes overlap, in batches.
 
@@ -173,52 +212,38 @@ def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
     the low corner of the two boxes' overlap, so every overlapping pair is
     produced exactly once.
     """
-    ext = hi - lo
-    cell = float(np.median(ext.max(axis=0)))
-    if cell <= 0:
-        cell = max(float(ext.max()), 1e-9)
+    cell = _median_cell(hi - lo)
     ilo = np.floor(lo / cell).astype(np.int64)
     span = np.floor(hi / cell).astype(np.int64) - ilo + 1
     ilo -= ilo.min(axis=1, keepdims=True)
-    _, ny, nz = (ilo + span).max(axis=1)
-
-    # one entry per (box, cell it touches): the flat cell key, and a bit per
-    # axis set where the cell is the box's low cell on that axis
-    ncell = span.prod(axis=0)
-    tri = np.repeat(np.arange(lo.shape[1]), ncell)
-    k = np.arange(len(tri)) - np.repeat(np.cumsum(ncell) - ncell, ncell)
-    sz = span[2, tri]
-    oz = k % sz
-    k //= sz
-    sy = span[1, tri]
-    oy = k % sy
-    ox = k // sy
-    keys = ((ilo[0] * ny + ilo[1]) * nz + ilo[2])[tri] + (ox * ny + oy) * nz + oz
-    low = (ox == 0).astype(np.uint8) | (oy == 0) << 1 | (oz == 0) << 2
-    del k, sz, sy, ox, oy, oz
-    # the stable sort keeps triangles ascending inside each cell
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    tri = tri[order]
-    low = low[order]
+    tri, keys, low = _grid_entries(ilo, span, (ilo + span).max(axis=1))
 
     # entry q pairs with the later entries q+1 .. end-1 of its cell.  Both
     # boxes touch the cell, so it holds the low corner of their overlap iff
     # on every axis it is the low cell of one of the two boxes.
-    n_partners = np.searchsorted(keys, keys, side="right") - np.arange(1, len(keys) + 1)
-    total = np.cumsum(n_partners)
-    start = 0
-    while start < len(keys):
-        done = int(total[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(total, done + _PAIR_CHUNK, side="right")), start + 1)
-        cnt = n_partners[start:stop]
-        first = np.repeat(np.arange(start, stop), cnt)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    after = np.arange(1, len(keys) + 1)
+    n_partners = np.searchsorted(keys, keys, side="right") - after
+    for first, second in _pair_batches(after, n_partners):
         corner = (low[first] | low[second]) == 7
         i = tri[first[corner]]
         j = tri[second[corner]]
         keep = ((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i])).all(axis=0)
         yield i[keep], j[keep]
+
+
+def _pair_batches(base: np.ndarray, count: np.ndarray):
+    """Yield (rows, cols): row r pairs with cols base[r] .. base[r] + count[r] - 1.
+
+    Batches hold whole rows, about _PAIR_CHUNK pairs each (one row at least).
+    """
+    total = np.cumsum(count)
+    start = 0
+    while start < len(count):
+        done = int(total[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(total, done + _PAIR_CHUNK, side="right")), start + 1)
+        cnt = count[start:stop]
+        rows = np.repeat(np.arange(start, stop), cnt)
+        yield rows, np.repeat(base[start:stop] - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(rows))
         start = stop
 
 
@@ -464,30 +489,92 @@ _RAY_DIRS = np.array([[1.0, 0.0, 0.0], [0.12905, 0.98237, 0.13471],
                       [-0.33296, 0.54713, 0.76804], [0.57735, -0.57735, 0.57735]])
 
 
-def _ray_parity(pts: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray, d: np.ndarray):
-    """Moller-Trumbore (inside, grazed) per point for rays from pts (P, 3) along d.
+# generous multiple of the unit round-off 2^-53 in the bound of _ray_triangles
+_ROUNDOFF = 2.0 ** -44
+
+
+def _ray_triangles(v0: np.ndarray, e1: np.ndarray, e2: np.ndarray, d: np.ndarray, scale: float):
+    """Per-ray data of the triangles not edge-on to d (|det| > 1e-12).
 
     For a fixed ray, u = s.(d x e2)/det, v = s.(e1 x d)/det and the ray
-    parameter t = s.(e1 x e2)/det are affine in s = p - v0, so all points
-    take three matrix products, _PAIR_CHUNK point-triangle pairs at a time.
-    A ray grazes where a hit lies within 1e-9 of a triangle edge.
+    parameter t = s.(e1 x e2)/det are affine in s = p - v0: u, v, t =
+    coef @ p - offset, with coef (3, T, 3) and offset (3, T).  u and v are
+    the barycentrics of p's projection along d in the triangle's projection.
+    Returns (across, coef, offset, lo, hi): across (2, 3) spans the plane
+    across d, and lo, hi (2, T) are the triangles' boxes in that plane.
+
+    Each box is grown by a bound on the round-off of the computed u and v,
+    for points and vertices with coordinates of at most ``scale`` mm.  The
+    bound grows as |det| shrinks (the triangle turns edge-on to the ray).
+    A point whose computed u, v and u + v lie in [0, 1] has exact
+    barycentrics of at least -eta, and eta times twice the box extent bounds
+    how far that puts its projection outside the box; so every point that
+    can pass the hit test lies in the grown box.  The box of a triangle
+    whose det may be off by a quarter or more grows without bound.
     """
     h = np.cross(d, e2)
     det = np.einsum("ij,ij->i", e1, h)
     ok = np.abs(det) > 1e-12
-    coef = np.stack([h, np.cross(e1, d), np.cross(e1, e2)])[:, ok] / det[ok, None]  # (3, T, 3)
-    offset = np.einsum("ktj,tj->kt", coef, v0[ok])
-    coef = np.ascontiguousarray(coef.transpose(0, 2, 1))  # (3, 3, T)
-    inside = np.zeros(len(pts), dtype=bool)
-    grazed = np.zeros(len(pts), dtype=bool)
-    step = max(1, _PAIR_CHUNK // max(int(ok.sum()), 1))
-    for lo in range(0, len(pts), step):
-        p = pts[lo : lo + step]
-        u, v, t = (p @ coef[k] - offset[k] for k in range(3))
+    v0, e1, e2, det = v0[ok], e1[ok], e2[ok], det[ok]
+    coef = np.stack([h[ok], np.cross(e1, d), np.cross(e1, e2)]) / det[:, None]
+    offset = np.einsum("ktj,tj->kt", coef, v0)
+
+    a = np.cross(d, np.eye(3)[np.argmin(np.abs(d))])
+    a /= np.linalg.norm(a)
+    across = np.stack([a, np.cross(d, a)])
+    q0 = across @ v0.T
+    corners = np.stack([q0, q0 + across @ e1.T, q0 + across @ e2.T])  # (3, 2, T)
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+
+    norm1 = np.abs(e1).max(axis=1)
+    norm2 = np.abs(e2).max(axis=1)
+    inv = 1.0 / np.abs(det)
+    rel = _ROUNDOFF * (norm1 * norm2 * inv + 1.0)  # of det, and of the division by it
+    err = _ROUNDOFF * (scale * (np.abs(coef[:2]).sum(axis=(0, 2)) + (norm1 + norm2) * inv) + 1.0)
+    eta = 4.0 * err + 2.0 * rel
+    pad = np.where(rel < 0.25, 2.0 * eta * (hi - lo).max(axis=0) + _ROUNDOFF * scale, np.inf)
+    return across, coef, offset, lo - pad, hi + pad
+
+
+def _ray_parity(pts: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray, d: np.ndarray):
+    """Moller-Trumbore (inside, grazed) per point for rays from pts (P, 3) along d.
+
+    A ray can hit only the triangles whose grown box (see _ray_triangles)
+    holds its origin's projection.  Boxes and points are entered into a
+    uniform 2-D grid in the plane across d (cell edge: the median box
+    extent; a point goes into the one cell that holds it), and only
+    point-triangle pairs that share a cell are evaluated, _PAIR_CHUNK at a
+    time.  A ray grazes where a hit lies within 1e-9 of a triangle edge.
+    """
+    if not len(pts):
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    scale = max(float(np.abs(pts).max()),
+                float(np.abs(v0).max(initial=0.0) + np.abs([e1, e2]).max(initial=0.0)))
+    across, coef, offset, lo, hi = _ray_triangles(v0, e1, e2, d, scale)
+
+    q = across @ pts.T  # (2, P)
+    origin = q.min(axis=1, keepdims=True)
+    # at most 2^20 cells a side, so that the flat cell keys cannot overflow
+    cell = max(_median_cell(hi - lo), float((q.max(axis=1) - origin[:, 0]).max()) * 2.0**-20)
+    dims = np.floor((q.max(axis=1, keepdims=True) - origin) / cell).astype(np.int64) + 1
+    # boxes clipped to the cells that hold points; one clipped away spans 0 cells
+    ilo = np.clip(np.floor((lo - origin) / cell), 0, dims).astype(np.int64)
+    ihi = np.clip(np.floor((hi - origin) / cell), -1, dims - 1).astype(np.int64)
+    tri, keys, _ = _grid_entries(ilo, np.maximum(ihi - ilo + 1, 0), dims[:, 0])
+    cell_of = np.ravel_multi_index(tuple(np.floor((q - origin) / cell).astype(np.int64)), tuple(dims[:, 0]))
+    first = np.searchsorted(keys, cell_of, side="left")
+    count = np.searchsorted(keys, cell_of, side="right") - first
+
+    hits = np.zeros(len(pts), dtype=np.int64)
+    grazes = np.zeros(len(pts), dtype=np.int64)
+    for point, entry in _pair_batches(first, count):
+        t_idx = tri[entry]
+        u, v, t = np.einsum("ktj,tj->kt", coef[:, t_idx], pts[point]) - offset[:, t_idx]
         hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
-        inside[lo : lo + step] = hit.sum(axis=1) % 2 == 1
-        grazed[lo : lo + step] = (hit & ((u < 1e-9) | (v < 1e-9) | (u + v > 1 - 1e-9))).any(axis=1)
-    return inside, grazed
+        hits += np.bincount(point[hit], minlength=len(pts))
+        near_edge = hit & ((u < 1e-9) | (v < 1e-9) | (u + v > 1 - 1e-9))
+        grazes += np.bincount(point[near_edge], minlength=len(pts))
+    return hits % 2 == 1, grazes > 0
 
 
 def points_inside_mesh(points: np.ndarray, mesh: TriMesh) -> np.ndarray:

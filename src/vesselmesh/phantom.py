@@ -255,6 +255,30 @@ def _distance_to_curve(query: np.ndarray, s: np.ndarray, pts: np.ndarray, tree):
     return np.sqrt(best_d2), best_s
 
 
+def _branches(spec: PhantomSpec) -> tuple[str, ...]:
+    return ("main", "side") if spec.shape == "branched" else ("main",)
+
+
+def check_in_volume(spec: PhantomSpec, shifts=((0.0, 0.0),)) -> None:
+    """Raise ValueError unless every tube of the phantom fits in its volume.
+
+    A tube fits when, at 256 samples along its centerline, the local radius
+    plus twice the wall softness stays inside the volume on every axis.
+    ``shifts`` lists lateral moves (dx, dy) mm of the whole phantom, as
+    ``axis_offset_mm`` adds them; each tube's curve is evaluated once and
+    tested under every shift.
+    """
+    hi_extent = (np.asarray(spec.dims, dtype=np.float64) - 1.0) * np.asarray(spec.spacing_mm)
+    shift = np.column_stack([np.asarray(shifts, dtype=np.float64), np.zeros(len(shifts))])[:, None]
+    for branch in _branches(spec):
+        curve, radius, length, _ = _tube(spec, branch)
+        s = np.linspace(0.0, length, 256)
+        pts = curve(s) + shift
+        margin = (radius(s) + 2.0 * spec.wall_softness)[:, None]
+        if (pts - margin < 0).any() or (pts + margin > hi_extent).any():
+            raise ValueError(f"phantom tube ({branch}) exceeds volume bounds")
+
+
 # narrow band: edge of the skip-test blocks in voxels, and voxels per query
 _BLOCK = 4
 _CHUNK = 65536
@@ -281,7 +305,6 @@ def rasterize(spec: PhantomSpec) -> Volume:
     nx, ny, nz = spec.dims
     sp = np.asarray(spec.spacing_mm, dtype=np.float64)
     w = spec.wall_softness
-    hi_extent = (np.asarray(spec.dims, dtype=np.float64) - 1.0) * sp
     xs = np.arange(nx) * sp[0]
     ys = np.arange(ny) * sp[1]
     zs = np.arange(nz) * sp[2]
@@ -296,16 +319,9 @@ def rasterize(spec: PhantomSpec) -> Volume:
     centres = np.column_stack([bx.ravel(), by.ravel(), bz.ravel()])
     half_diag = off * float(np.linalg.norm(sp))
 
-    for branch in ("main", "side") if spec.shape == "branched" else ("main",):
+    check_in_volume(spec)
+    for branch in _branches(spec):
         curve, radius, length, r_max = _tube(spec, branch)
-        # bounds check: at every centerline sample, the local radius plus 2w
-        # must fit inside the volume
-        s = np.linspace(0.0, length, 256)
-        pts = curve(s)
-        margin = (radius(s) + 2.0 * w)[:, None]
-        if (pts - margin < 0).any() or (pts + margin > hi_extent).any():
-            raise ValueError(f"phantom tube ({branch}) exceeds volume bounds")
-
         s_dense = np.linspace(0.0, length, 1024)
         pts_dense = curve(s_dense)
         h = np.linalg.norm(np.diff(pts_dense, axis=0), axis=1).max()

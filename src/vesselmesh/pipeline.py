@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -134,7 +135,8 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
     needs and the config leaves out, the pair ``surface.degree_v`` and
     ``contours.points`` when no closed curve of that degree interpolates
     that many points, or the ``phantom`` or ``family`` field that makes an
-    impossible PhantomSpec (the family's at the smallest radius of its range).
+    impossible PhantomSpec (the family's at the largest radius of its range),
+    or a family whose widest tube at an extreme offset leaves the volume.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
@@ -158,10 +160,16 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
                 raise ValueError(f"must be {need}, got {value!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {where}{key}: {exc}") from exc
-    if defaults is _DEFAULTS["family"]:  # the family's geometry, at its thinnest tube
-        _phantom_spec(where, shape=resolved["shape"], length_mm=resolved["length_mm"],
-                      base_radius_mm=min(resolved["radius_range_mm"]), dims=resolved["dims"],
-                      spacing_mm=resolved["spacing_mm"], wall_softness_mm=resolved["wall_softness_mm"])
+    if defaults is _DEFAULTS["family"]:  # the family's geometry, at its widest tube
+        radius, offset = max(resolved["radius_range_mm"]), resolved["offset_range_mm"]
+        spec = _phantom_spec(where, shape=resolved["shape"], length_mm=resolved["length_mm"],
+                             base_radius_mm=radius, dims=resolved["dims"], spacing_mm=resolved["spacing_mm"],
+                             wall_softness_mm=resolved["wall_softness_mm"])
+        try:  # the four corner offsets bound every draw's placement
+            phantom.check_in_volume(spec, [(dx, dy) for dx in (-offset, offset) for dy in (-offset, offset)])
+        except ValueError as exc:
+            raise ValueError(f"config keys {where}radius_range_mm and {where}offset_range_mm: at radius "
+                             f"{radius!r} mm and offsets of ±{offset!r} mm, {exc}") from exc
     if defaults is _DEFAULTS:
         source = resolved["centerline"]["source"]
         if source not in _CENTERLINE_INPUT:
@@ -231,9 +239,18 @@ def stage_volume(config: dict, out: Path) -> Path:
             surf = config["surface"]
             gt = phantom.analytic_surface(spec, nu=surf["tess_u"], nv=surf["tess_v"], caps=surf["caps"])
             write_obj(gt, out / "gt_surface.obj")
-            k = config["centerline"]["k"]
-            cl.write_csv(phantom.analytic_centerline(spec, k), out / "gt_centerline.csv")
+            _write_gt_centerline(config, out)
     return vol_path
+
+
+# the files of stage_volume that do not depend on centerline.k (gt_centerline.csv does)
+_VOLUME_FILES = ("volume.f32raw", "volume.f32raw.json", "phantom_spec.json", "gt_surface.obj")
+
+
+def _write_gt_centerline(config: dict, out: Path) -> None:
+    """The phantom's analytic centerline at centerline.k points, as gt_centerline.csv."""
+    cl.write_csv(phantom.analytic_centerline(config["phantom"], config["centerline"]["k"]),
+                 out / "gt_centerline.csv")
 
 
 def stage_centerline(config: dict, out: Path) -> Path:
@@ -387,6 +404,11 @@ def run_pipeline(config: dict, out) -> dict:
     config = resolve_config(config)
     out = Path(out)
     stage_volume(config, out)
+    return _run_after_volume(config, out)
+
+
+def _run_after_volume(config: dict, out: Path) -> dict:
+    """run_pipeline's stages after `volume`, on the volume artifacts in out."""
     stage_centerline(config, out)
     stage_segment(config, out)
     stage_align(config, out)
@@ -404,15 +426,33 @@ def run_pipeline(config: dict, out) -> dict:
 
 
 def param_study(config: dict, out, k_list=(8, 12, 16, 20, 25)) -> Path:
-    """Run the pipeline per centerline point count; CSV of CD/HD/EMD per k."""
+    """Run the pipeline per centerline point count; CSV of CD/HD/EMD per k.
+
+    Folder k_XX holds the files of run_pipeline with that k.  The volume
+    stage runs once, for the first k; the other folders get copies of its
+    files that do not depend on k, and their own gt_centerline.csv.
+    """
     config = resolve_config(config)
     subs = [resolve_config({**config, "centerline": {**config["centerline"], "k": k}}) for k in k_list]
+    if not subs:
+        raise ValueError("parameter study needs at least one k")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    first = out / f"k_{subs[0]['centerline']['k']:02d}"
+    stage_volume(subs[0], first)
     rows = []
     for sub in subs:
         k = sub["centerline"]["k"]
-        m = run_pipeline(sub, out / f"k_{k:02d}").get("metrics")
+        run_dir = out / f"k_{k:02d}"
+        if run_dir != first:
+            run_dir.mkdir(exist_ok=True)
+            with _stage("volume"):
+                for name in _VOLUME_FILES:
+                    if (first / name).exists():
+                        shutil.copyfile(first / name, run_dir / name)
+                if sub["phantom"] is not None:
+                    _write_gt_centerline(sub, run_dir)
+        m = _run_after_volume(sub, run_dir).get("metrics")
         if m is None:
             raise StageError("metrics", "parameter study requires a ground-truth surface")
         rows.append((k, m["cd_mm"], m["hd_mm"], m["emd_mm"]))

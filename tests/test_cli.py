@@ -37,10 +37,16 @@ def tiny_config(tmp_path_factory):
     return path, cfg, root
 
 
-def test_pipeline_command(tiny_config):
+@pytest.fixture(scope="module")
+def pipe(tiny_config):
+    """(result, output directory) of one `pipeline` run on the tiny config."""
     path, cfg, root = tiny_config
     out = root / "pipe"
-    res = _run("pipeline", "--config", str(path), "--out", str(out))
+    return _run("pipeline", "--config", str(path), "--out", str(out)), out
+
+
+def test_pipeline_command(pipe):
+    res, out = pipe
     assert res.returncode == 0, res.stdout + res.stderr
     for name in ("volume.f32raw", "volume.f32raw.json", "centerline.csv",
                  "contours_raw.json", "contours.json", "surface.nurbs.json",
@@ -51,18 +57,17 @@ def test_pipeline_command(tiny_config):
     assert topo["watertight"]
 
 
-def test_defaults_k16_m32(tiny_config):
-    path, cfg, root = tiny_config
-    out = root / "pipe"
+def test_defaults_k16_m32(pipe):
+    _, out = pipe
     stations = cl.read_csv(out / "centerline.csv")
     assert len(stations) == 16
     doc = json.loads((out / "contours.json").read_text())
     assert all(len(st["points"]) == 32 for st in doc["stations"])
 
 
-def test_staged_equals_pipeline(tiny_config):
+def test_staged_equals_pipeline(tiny_config, pipe):
     path, cfg, root = tiny_config
-    ref = root / "pipe"
+    _, ref = pipe
     staged = root / "staged"
     for cmd in ("phantom", "centerline", "segment", "contours", "fit", "mesh"):
         res = _run(cmd, "--config", str(path), "--out", str(staged))
@@ -73,11 +78,9 @@ def test_staged_equals_pipeline(tiny_config):
         assert (ref / name).read_bytes() == (staged / name).read_bytes(), name
 
 
-def test_stages_after_phantom_spec_equal_pipeline(tiny_config):
+def test_stages_after_phantom_spec_equal_pipeline(tiny_config, pipe):
     path, cfg, root = tiny_config
-    ref = root / "pipe"
-    if not (ref / "mesh.obj").exists():
-        assert _run("pipeline", "--config", str(path), "--out", str(ref)).returncode == 0
+    _, ref = pipe
     spec_path = root / "tiny_spec.json"
     spec_path.write_text(json.dumps(cfg["phantom"]))
     no_phantom = root / "no_phantom.json"
@@ -145,9 +148,9 @@ def test_config_error_exit_code(tmp_path):
     assert doc["stage"] == "config"
 
 
-def test_slice_dump_and_masks_dir(tiny_config):
+def test_slice_dump_and_masks_dir(tiny_config, pipe):
     path, cfg, root = tiny_config
-    out = root / "pipe"
+    _, out = pipe
     res = _run("slice", "--config", str(path), "--out", str(out))
     assert res.returncode == 0
     pgms = sorted((out / "slices").glob("station_*.pgm"))
@@ -180,9 +183,8 @@ def test_slice_dump_and_masks_dir(tiny_config):
         assert np.allclose(st_a["points"], st_b["points"], atol=1e-12)
 
 
-def test_metrics_command(tiny_config, tmp_path):
-    path, cfg, root = tiny_config
-    out = root / "pipe"
+def test_metrics_command(pipe, tmp_path):
+    _, out = pipe
     res = _run("metrics", "--mesh", str(out / "mesh.obj"),
                "--reference", str(out / "gt_surface.obj"),
                "--out", str(tmp_path), "--seed", "0")
@@ -316,6 +318,8 @@ def _with(section, key, value):
      "config key family.radius_range_mm"),
     (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "spacing_mm": [0, 1.2, 1.2]}},
      "config key family.spacing_mm"),
+    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_range_mm": [5.0, 30.0]}},
+     "config keys family.radius_range_mm and family.offset_range_mm"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"

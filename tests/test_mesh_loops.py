@@ -228,6 +228,30 @@ def _branched():
     return main, branch
 
 
+def _evaluate_branched(offset):
+    """The main tube and side branch that the benchmark's evaluate workload merges."""
+    spec = phantom.PhantomSpec(shape="branched", base_radius_mm=5.0, axis_offset_mm=offset,
+                               dims=(64, 64, 64), spacing_mm=(0.9, 0.9, 0.9))
+    main = phantom.analytic_surface(spec, 64, 64, caps=True, branch="main")
+    branch = phantom.analytic_surface(spec, 32, 32, caps=False, branch="side")
+    return main, branch
+
+
+def _edge_on_tube():
+    """A straight tube turned about its axis until two columns of wall
+    triangles are within 1e-8 rad of edge-on to the +x ray (det ~ 1e-9)."""
+    spec = phantom.PhantomSpec(shape="straight", length_mm=20.0, base_radius_mm=4.0,
+                               dims=(40, 40, 40), spacing_mm=(1.0, 1.0, 1.0))
+    mesh = phantom.analytic_surface(spec, 24, 32, caps=True)
+    p = mesh.vertices[mesh.triangles[0]]
+    n = np.cross(p[1] - p[0], p[2] - p[0])
+    turn = np.pi / 2 - 1e-8 - np.arctan2(n[1], n[0])
+    c, s = np.cos(turn), np.sin(turn)
+    center = mesh.vertices.mean(axis=0)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return meshkit.TriMesh((mesh.vertices - center) @ rot.T + center, mesh.triangles)
+
+
 def _clear_of_surface(points: np.ndarray, mesh: meshkit.TriMesh, gap: float) -> np.ndarray:
     """True for points at least gap from every triangle.
 
@@ -296,12 +320,20 @@ def test_marching_cubes_without_cut_cells_is_empty():
 # points below are kept only at least 1e-6 mm from every triangle.
 
 
-def test_inside_matches_loop_on_merge_centroids():
-    main, branch = _branched()
+def _assert_inside_matches_loop_on_centroids(main, branch):
     centroids = branch.vertices[branch.triangles].mean(axis=1)
     got = meshkit.points_inside_mesh(centroids, main)
     assert got.any() and not got.all()
     assert np.array_equal(got, _ref_points_inside_mesh(centroids, main))
+
+
+def test_inside_matches_loop_on_merge_centroids():
+    _assert_inside_matches_loop_on_centroids(*_branched())
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (0.64, -0.26), (-0.95, 0.53), (0.21, 0.88), (-0.37, -0.71)])
+def test_inside_matches_loop_on_evaluate_merge_centroids(offset):
+    _assert_inside_matches_loop_on_centroids(*_evaluate_branched(offset))
 
 
 def test_inside_matches_loop_on_random_points():
@@ -310,7 +342,7 @@ def test_inside_matches_loop_on_random_points():
         shape="straight", length_mm=16.0, base_radius_mm=4.0,
         dims=(32, 32, 32), spacing_mm=(1.0, 1.0, 1.0))))
     rng = np.random.default_rng(11)
-    for mesh in (main, mc):
+    for mesh in (main, mc, _edge_on_tube()):
         lo, hi = mesh.vertices.min(axis=0) - 2.0, mesh.vertices.max(axis=0) + 2.0
         uniform = rng.uniform(lo, hi, size=(600, 3))
         picked = mesh.vertices[rng.choice(mesh.n_vertices, 600)]
@@ -324,6 +356,62 @@ def test_inside_matches_loop_on_random_points():
         got = meshkit.points_inside_mesh(pts, mesh)
         assert got.any() and not got.all()
         assert np.array_equal(got, _ref_points_inside_mesh(pts, mesh))
+
+
+def test_grown_boxes_hold_every_computed_hit():
+    # rays that pass just beyond a corner of a nearly edge-on triangle: the
+    # computed barycentrics of some lie in [0, 1] although the exact ones do
+    # not, so those points lie outside the triangle's projected box, and the
+    # grid must still pair them with it
+    mesh = _edge_on_tube()
+    tri = mesh.vertices[mesh.triangles]
+    v0, e1, e2 = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    d = np.array([1.0, 0.0, 0.0])
+    det = np.einsum("ij,ij->i", e1, np.cross(d, e2))
+    ok = np.abs(det) > 1e-12
+    edge_on = tri[ok & (np.abs(det) < 1e-6)]
+    assert len(edge_on) >= 64
+    centre = edge_on.mean(axis=1, keepdims=True)
+    beyond = [edge_on + (edge_on - centre) * delta for delta in (1e-9, 1e-8, 1e-7)]
+    pts = np.concatenate(beyond).reshape(-1, 3) - [3.0, 0.0, 0.0]
+
+    scale = max(float(np.abs(pts).max()), float(np.abs(v0).max() + np.abs([e1, e2]).max()))
+    across, coef, offset, lo, hi = meshkit._ray_triangles(v0, e1, e2, d, scale)
+    # every pair, with the arithmetic of _ray_parity
+    p, t = np.repeat(np.arange(len(pts)), coef.shape[1]), np.tile(np.arange(coef.shape[1]), len(pts))
+    u, v, ray_t = np.einsum("ktj,tj->kt", coef[:, t], pts[p]) - offset[:, t]
+    hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (ray_t > 1e-9)
+    q = (across @ pts.T)[:, p]
+    corners = across @ tri[ok].transpose(0, 2, 1)  # (T, 2, 3)
+    in_box = ((corners.min(axis=2).T[:, t] <= q) & (q <= corners.max(axis=2).T[:, t])).all(axis=0)
+    in_grown = ((lo[:, t] <= q) & (q <= hi[:, t])).all(axis=0)
+    assert (hit & ~in_box).any()
+    assert in_grown[hit].all()
+
+    near_edge = hit & ((u < 1e-9) | (v < 1e-9) | (u + v > 1 - 1e-9))
+    inside, grazed = meshkit._ray_parity(pts, v0, e1, e2, d)
+    assert np.array_equal(inside, np.bincount(p[hit], minlength=len(pts)) % 2 == 1)
+    assert np.array_equal(grazed, np.bincount(p[near_edge], minlength=len(pts)) > 0)
+
+
+def test_inside_evaluates_a_fraction_of_the_pairs(monkeypatch):
+    # guards against a silent brute-force fallback: a ray meets only the
+    # triangles whose projected box holds its origin's projection
+    main, branch = _evaluate_branched((0.0, 0.0))
+    centroids = branch.vertices[branch.triangles].mean(axis=1)
+    pairs = []
+    batches = meshkit._pair_batches
+
+    def counting(base, count):
+        for rows, cols in batches(base, count):
+            pairs.append(len(rows))
+            yield rows, cols
+
+    monkeypatch.setattr(meshkit, "_pair_batches", counting)
+    inside = meshkit.points_inside_mesh(centroids, main)
+    assert inside.any() and not inside.all()
+    assert len(centroids) == 1984
+    assert 0 < sum(pairs) < 0.01 * len(centroids) * main.n_triangles
 
 
 def test_inside_takes_one_point_and_no_points():

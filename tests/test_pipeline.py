@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vesselmesh import meshkit, pipeline
+from vesselmesh import meshkit, phantom, pipeline
 from vesselmesh.pipeline import StageError
 from vesselmesh.volume import Volume, store_raw
 
@@ -380,6 +380,25 @@ def test_bad_config_fails_before_any_file(tmp_path, override, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_study_folders_equal_standalone_runs_and_rasterize_once(tmp_path, monkeypatch):
+    cfg = _tiny_config(phantom={"shape": "arc", "length_mm": 28.0, "base_radius_mm": 4.5,
+                                "arc_radius_mm": 22.0, "dims": [48, 48, 48], "spacing_mm": [1.1, 1.1, 1.1]})
+    k_list = (12, 8, 16)
+    calls = []
+    rasterize = phantom.rasterize
+    monkeypatch.setattr(phantom, "rasterize", lambda spec: calls.append(spec) or rasterize(spec))
+    pipeline.param_study(cfg, tmp_path / "study", k_list=k_list)
+    assert len(calls) == 1
+    for k in k_list:
+        alone = tmp_path / f"alone_{k}"
+        pipeline.run_pipeline({**cfg, "centerline": {**cfg["centerline"], "k": k}}, alone)
+        study = tmp_path / "study" / f"k_{k:02d}"
+        names = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in study.iterdir()) == names
+        for name in names:
+            assert (study / name).read_bytes() == (alone / name).read_bytes(), (k, name)
+
+
 def test_study_resolves_every_k_before_the_first_run(tmp_path):
     with pytest.raises(ValueError, match=re.escape("centerline.k: must be at least 4, got 3")):
         pipeline.param_study(_tiny_config(), tmp_path / "out", (8, 3))
@@ -444,7 +463,8 @@ def test_mask_of_wrong_shape_is_a_segment_error(tmp_path):
 def test_numbers_widen_to_float_and_tuples_take_lists():
     resolved = pipeline.resolve_config({
         "seed": np.int64(3), "learning_rate": 1,
-        "family": {"dims": [32, 32, 32], "spacing_mm": [1, 1.5, 2]},
+        # the widest tube (radius 2 mm) fits the 31 mm x extent at every offset
+        "family": {"dims": [32, 32, 32], "spacing_mm": [1, 1.5, 2], "radius_range_mm": [1, 2]},
     })
     assert type(resolved["seed"]) is int and resolved["seed"] == 3
     learning_rate = resolved["learning_rate"]
@@ -452,6 +472,7 @@ def test_numbers_widen_to_float_and_tuples_take_lists():
     assert resolved["family"]["dims"] == (32, 32, 32)
     assert resolved["family"]["spacing_mm"] == (1.0, 1.5, 2.0)
     assert all(type(v) is float for v in resolved["family"]["spacing_mm"])
+    assert resolved["family"]["radius_range_mm"] == (1.0, 2.0)
 
 
 def test_optional_numbers_resolve_to_float(tmp_path):
@@ -471,11 +492,22 @@ def test_optional_numbers_resolve_to_float(tmp_path):
     ({"spacing_mm": [0, 1.2, 1.2]}, "config key family.spacing_mm must be positive"),
     ({"radius_range_mm": [-1.0, 2.0]}, "config key family.radius_range_mm: must be positive"),
     ({"wall_softness_mm": 0.0}, "config key family.wall_softness_mm must be positive"),
+    ({"radius_range_mm": [5.0, 30.0]}, "family.radius_range_mm and family.offset_range_mm: at radius "
+                                       "30.0 mm and offsets of ±3.5 mm, phantom tube (main) exceeds"),
+    # the widest tube fits on the axis and leaves the volume at a corner offset
+    ({"offset_range_mm": 16.0}, "family.radius_range_mm and family.offset_range_mm"),
 ])
 def test_family_geometry_fails_before_training(tmp_path, family, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         pipeline.train_cdm({"iterations": 1, "family": {"count": 2, **family}}, tmp_path / "train")
     assert not (tmp_path / "train").exists()
+
+
+def test_family_inside_the_volume_at_every_corner_rasterizes_every_draw():
+    specs = pipeline.phantom_family({"count": 8, "offset_range_mm": 15.0})
+    assert max(abs(v) for spec in specs for v in spec.axis_offset_mm) > 12.0
+    for spec in specs:
+        phantom.rasterize(spec)
 
 
 def test_unknown_family_key_fails_before_training(tmp_path):
