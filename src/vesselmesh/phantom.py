@@ -10,12 +10,13 @@ parameter, and w the wall softness.  The lumen interior is ~1, background
 ~0, and the 0.5 level sits at distance r + w/2.  Rasterization is
 deterministic for a given spec.
 
-Only voxels in a narrow band around each tube are queried.  A 4^3 block is
-skipped when a lower bound on its distance to the centerline (block-centre
-distance to the nearest dense sample, less half the longest dense segment,
-less the block's half-diagonal) exceeds the tube's peak radius plus w: every
-voxel in it has d >= r + w, so its ramp value is exactly 0, and the volume
-has the bytes of a query of every voxel.
+Only voxels in a narrow band around each tube are queried.  Blocks of 16^3,
+8^3, 4^3, 2^3 and then single voxels are kept while a lower bound on their
+distance to the centerline (block-centre distance to the nearest dense
+sample, less half the longest dense segment, less the block's half-diagonal)
+stays within the tube's peak radius plus w.  Every voxel of a dropped block
+has d >= r + w, so its ramp value is exactly 0, and the volume has the bytes
+of a query of every voxel.
 """
 
 from __future__ import annotations
@@ -228,13 +229,12 @@ def analytic_surface(
     return loft_rings(rings, caps=caps)
 
 
-def _distance_to_curve(query: np.ndarray, s: np.ndarray, pts: np.ndarray, tree):
+def _distance_to_curve(query: np.ndarray, s: np.ndarray, pts: np.ndarray, idx: np.ndarray):
     """Exact distance to the densely sampled polyline, plus arc parameter.
 
-    Nearest sample via ``tree``, the KD-tree over ``pts``, refined by
-    projecting onto the two adjacent segments.
+    ``idx`` holds each query point's nearest sample in ``pts``; the distance
+    is refined by projecting onto the two adjacent segments.
     """
-    _, idx = tree.query(query, k=1)
     best_d2 = np.einsum("ij,ij->i", query - pts[idx], query - pts[idx])
     best_s = s[idx]
     for lo in (np.maximum(idx - 1, 0), idx):
@@ -279,45 +279,35 @@ def check_in_volume(spec: PhantomSpec, shifts=((0.0, 0.0),)) -> None:
             raise ValueError(f"phantom tube ({branch}) exceeds volume bounds")
 
 
-# narrow band: edge of the skip-test blocks in voxels, and voxels per query
-_BLOCK = 4
-_CHUNK = 65536
+# narrow band: block edges in voxels, coarse to fine; each edge divides the last
+_BLOCKS = (16, 8, 4, 2, 1)
 
 
 def rasterize(spec: PhantomSpec) -> Volume:
     """Rasterize the phantom into a float32 volume with origin (0, 0, 0).
 
-    Only the narrow band around each tube is queried.  The grid is cut into
-    4^3 blocks (edge blocks counted as full ones), and each block centre c
-    gets the distance d_vertex(c) to the nearest dense sample.  A block is
-    skipped when ``d_vertex(c) - h/2 - half_diag > r_max + w + 1e-6``, with h
-    the longest dense segment and half_diag = 1.5 |spacing|.  That is exact:
-    d_vertex - h/2 bounds the polyline distance from below, the refined
-    distance is never below the polyline distance, and the distance moves by
-    at most half_diag inside the block, so every skipped voxel has
-    d >= r(s) + w and a ramp value of exactly 0.  The 1e-6 mm absorbs
-    round-off only.  Kept voxels get the same arithmetic, in the same
-    x-fastest order, as a query of every voxel, so the bytes are those of a
-    dense rasterization.
+    Only the narrow band around each tube is queried, and it narrows through
+    the block edges of ``_BLOCKS``: the first level cuts the whole grid into
+    16^3 blocks (edge blocks counted as full ones), and each later level cuts
+    the blocks that the level above kept.  Each level queries every block
+    centre c once for d_vertex(c), its distance to the nearest dense sample,
+    and drops the block when ``d_vertex(c) - h/2 - half_diag > r_max + w +
+    1e-6``, with h the longest dense segment and half_diag = (edge - 1)/2
+    |spacing|.  That is exact: d_vertex - h/2 bounds the polyline distance
+    from below, the refined distance is never below the polyline distance,
+    and the distance moves by at most half_diag inside the block, so every
+    dropped voxel has d >= r(s) + w and a ramp value of exactly 0.  The 1e-6
+    mm absorbs round-off only.  At edge 1 the block is the voxel, and its
+    nearest sample is the one the exact distance refines.  A voxel's value
+    depends on its own coordinates only, so the bytes are those of a query
+    of every voxel.
     """
     from scipy.spatial import cKDTree
 
-    nx, ny, nz = spec.dims
+    dims = np.asarray(spec.dims)  # (nx, ny, nz), the column order of a block index
     sp = np.asarray(spec.spacing_mm, dtype=np.float64)
     w = spec.wall_softness
-    xs = np.arange(nx) * sp[0]
-    ys = np.arange(ny) * sp[1]
-    zs = np.arange(nz) * sp[2]
-    intensity = np.zeros((nz, ny, nx), dtype=np.float64)
-    flat = intensity.reshape(-1)
-    # block centres, x-fastest like the voxels; a voxel lies within `off`
-    # spacings of its block's centre on each axis
-    off = (_BLOCK - 1) / 2.0
-    cx, cy, cz = ((np.arange(-(-n // _BLOCK)) * _BLOCK + off) * sp[a]
-                  for a, n in enumerate(spec.dims))
-    bz, by, bx = np.meshgrid(cz, cy, cx, indexing="ij")
-    centres = np.column_stack([bx.ravel(), by.ravel(), bz.ravel()])
-    half_diag = off * float(np.linalg.norm(sp))
+    intensity = np.zeros(spec.dims[::-1], dtype=np.float64)  # (nz, ny, nx)
 
     check_in_volume(spec)
     for branch in _branches(spec):
@@ -326,19 +316,20 @@ def rasterize(spec: PhantomSpec) -> Volume:
         pts_dense = curve(s_dense)
         h = np.linalg.norm(np.diff(pts_dense, axis=0), axis=1).max()
         tree = cKDTree(pts_dense)
-        d_vertex, _ = tree.query(centres, k=1)
-        keep = (d_vertex - h / 2.0 - half_diag <= r_max + w + 1e-6).reshape(bz.shape)
-        band = keep.repeat(_BLOCK, 0).repeat(_BLOCK, 1).repeat(_BLOCK, 2)[:nz, :ny, :nx]
-        idx = np.flatnonzero(band)
-        # chunks bound the KD-tree query memory
-        for lo in range(0, idx.size, _CHUNK):
-            part = idx[lo:lo + _CHUNK]
-            iz, rest = np.divmod(part, ny * nx)
-            iy, ix = np.divmod(rest, nx)
-            query = np.column_stack([xs[ix], ys[iy], zs[iz]])
-            d, s_near = _distance_to_curve(query, s_dense, pts_dense, tree)
-            val = np.clip(1.0 - (d - radius(s_near)) / w, 0.0, 1.0)
-            flat[part] = np.maximum(flat[part], val)
+        blocks, parent = np.zeros((1, 3), dtype=np.int64), dims  # the first parent is the grid
+        for edge in _BLOCKS:
+            # the kept blocks' children of this edge that start inside the grid
+            split = -(-np.broadcast_to(parent, 3) // edge)
+            blocks = (blocks[:, None] * split + np.indices(split).reshape(3, -1).T).reshape(-1, 3)
+            blocks = blocks[(blocks * edge < dims).all(axis=1)]
+            centres = (blocks * edge + (edge - 1) / 2.0) * sp
+            d_vertex, near = tree.query(centres, k=1)
+            keep = d_vertex - h / 2.0 - (edge - 1) / 2.0 * np.linalg.norm(sp) <= r_max + w + 1e-6
+            blocks, centres, near, parent = blocks[keep], centres[keep], near[keep], edge
+        d, s_near = _distance_to_curve(centres, s_dense, pts_dense, near)
+        val = np.clip(1.0 - (d - radius(s_near)) / w, 0.0, 1.0)
+        ix, iy, iz = blocks.T
+        intensity[iz, iy, ix] = np.maximum(intensity[iz, iy, ix], val)
 
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)

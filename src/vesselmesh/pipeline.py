@@ -93,6 +93,7 @@ _LIMITS = {
     "surface.degree_v": (lambda v: v >= 1, "at least 1"),
     "surface.tess_u": (lambda v: v >= 16, "at least 16"),
     "surface.tess_v": (lambda v: v >= 16, "at least 16"),
+    "baseline.iso": (lambda v: 0 < v < 1, "strictly between 0 and 1"),  # volumes hold [0, 1]
     "k": (lambda v: v >= 4, "at least 4"),
     "timesteps": (lambda v: v >= 21, "at least 21"),  # desk_default's beta_end 20/timesteps < 1
     "learning_rate": (lambda v: v > 0, "positive"),
@@ -436,6 +437,9 @@ def param_study(config: dict, out, k_list=(8, 12, 16, 20, 25)) -> Path:
     subs = [resolve_config({**config, "centerline": {**config["centerline"], "k": k}}) for k in k_list]
     if not subs:
         raise ValueError("parameter study needs at least one k")
+    repeated = sorted({k for k in k_list if list(k_list).count(k) > 1})
+    if repeated:
+        raise ValueError(f"parameter study repeats k {', '.join(map(str, repeated))}")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     first = out / f"k_{subs[0]['centerline']['k']:02d}"

@@ -234,6 +234,17 @@ def test_study_csv_deterministic(tmp_path):
     assert csv1 == (tmp_path / "s2" / "study.csv").read_text()
 
 
+def test_study_with_a_repeated_k_exits_2_before_any_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_dict()))
+    out = tmp_path / "out"
+    res = _run("study", "--config", str(path), "--out", str(out), "--k-list", "8,12,8")
+    assert res.returncode == 2, res.stdout + res.stderr
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc == {"stage": "config", "error": "parameter study repeats k 8"}
+    assert not any(out.iterdir())  # the CLI made the directory, the study wrote nothing
+
+
 def test_phantom_spec_flag(tmp_path, small_spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(small_spec.to_json())
@@ -320,6 +331,8 @@ def _with(section, key, value):
      "config key family.spacing_mm"),
     (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_range_mm": [5.0, 30.0]}},
      "config keys family.radius_range_mm and family.offset_range_mm"),
+    (["compare"], {**_tiny_dict(), "baseline": {"iso": 1.5}}, "baseline.iso"),
+    (["compare"], {**_tiny_dict(), "baseline": {"iso": 0.0}}, "baseline.iso"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"

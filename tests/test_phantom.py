@@ -314,8 +314,8 @@ def test_side_branch_exceeding_bounds_errors():
 
 
 def _dense_rasterize(spec):
-    """The dense rasterizer the narrow band replaced, kept verbatim as the
-    reference: every voxel is queried, in z-slabs of 16."""
+    """The dense rasterizer the narrow band replaced, kept as the reference:
+    every voxel is queried, in z-slabs of 16, in its own KD-tree."""
     nx, ny, nz = spec.dims
     sp = np.asarray(spec.spacing_mm, dtype=np.float64)
     w = spec.wall_softness
@@ -342,7 +342,8 @@ def _dense_rasterize(spec):
             z1 = min(z0 + 16, nz)
             gz, gy, gx = np.meshgrid(zs[z0:z1], ys, xs, indexing="ij")
             query = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-            d, s_near = phantom._distance_to_curve(query, s_dense, pts_dense, cKDTree(pts_dense))
+            _, near = cKDTree(pts_dense).query(query, k=1)
+            d, s_near = phantom._distance_to_curve(query, s_dense, pts_dense, near)
             val = np.clip(1.0 - (d - radius(s_near)) / w, 0.0, 1.0)
             block = intensity[z0:z1].reshape(-1)
             np.maximum(block, val, out=block)
@@ -369,6 +370,12 @@ _DENSE_CASES = {
     "wall_0.3": dict(shape="helix", wall_softness_mm=0.3),
     "wall_2.5": dict(shape="aneurysm", length_mm=30.0, base_radius_mm=5.0, wall_softness_mm=2.5),
     "branched_60deg": _PHANTOM_SPECS["branched"],
+    "long_axis_not_multiple_of_16": dict(shape="straight", length_mm=55.0, base_radius_mm=4.0,
+                                         dims=(24, 26, 100), spacing_mm=(0.7, 0.7, 0.7)),
+    "two_axes_below_one_top_block": dict(shape="straight", length_mm=12.0, base_radius_mm=2.0,
+                                         dims=(14, 15, 40), spacing_mm=(0.5, 0.5, 0.5)),
+    "helix_anisotropic": dict(shape="helix", base_radius_mm=3.0, length_mm=30.0, helix_radius_mm=6.0,
+                              dims=(50, 44, 60), spacing_mm=(0.8, 1.0, 0.9)),
     # the arc of the evaluate workload's parameter study
     "study_arc": dict(shape="arc", length_mm=30.0, base_radius_mm=4.0, arc_radius_mm=12.0,
                       axis_offset_mm=(0.78, 0.11)),
@@ -397,11 +404,11 @@ def test_band_queries_a_fraction_of_the_voxels(monkeypatch, shape):
     rows = []
     distance = phantom._distance_to_curve
 
-    def counting(query, s, pts, tree):
+    def counting(query, s, pts, idx):
         rows.append(len(query))
-        return distance(query, s, pts, tree)
+        return distance(query, s, pts, idx)
 
     monkeypatch.setattr(phantom, "_distance_to_curve", counting)
     spec = phantom.PhantomSpec(shape=shape)
     phantom.rasterize(spec)
-    assert 0 < sum(rows) < np.prod(spec.dims) / 5
+    assert 0 < sum(rows) < np.prod(spec.dims) / 12

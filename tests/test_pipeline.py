@@ -405,6 +405,12 @@ def test_study_resolves_every_k_before_the_first_run(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_study_rejects_a_repeated_k_before_any_directory(tmp_path):
+    with pytest.raises(ValueError, match="^parameter study repeats k 8, 12$"):
+        pipeline.param_study(_tiny_config(), tmp_path / "out", (12, 8, 16, 8, 12))
+    assert not (tmp_path / "out").exists()
+
+
 def test_volume_source_is_required_before_any_file(tmp_path):
     config = {"centerline": {"k": 16}}
     for run in (pipeline.stage_volume, pipeline.run_pipeline):
