@@ -44,23 +44,32 @@ class TriMesh:
         return len(self.triangles)
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
-        )
+        # the terms of the cross product and its norm as np.cross and
+        # np.linalg.norm form them, one coordinate array at a time
+        x, y, z = self.vertices.T
+        a, b, c = self.triangles.T
+        ux, uy, uz = x[b] - x[a], y[b] - y[a], z[b] - z[a]
+        vx, vy, vz = x[c] - x[a], y[c] - y[a], z[c] - z[a]
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        return 0.5 * np.sqrt((nx * nx + ny * ny) + nz * nz)
 
     def clean(self) -> "TriMesh":
         """Drop zero-area (< 1e-12 mm^2) and duplicate triangles."""
         tris = self.triangles
         if not len(tris):
             return self
-        keep = self.triangle_areas() >= _DEGENERATE_AREA
-        tris = tris[keep]
-        # duplicates regardless of cyclic order / winding
-        key = np.sort(tris, axis=1)
-        _, first = np.unique(key, axis=0, return_index=True)
-        tris = tris[np.sort(first)]
-        return TriMesh(self.vertices, tris)
+        tris = tris[self.triangle_areas() >= _DEGENERATE_AREA]
+        # duplicates regardless of cyclic order / winding: equal sorted corners
+        a, b, c = tris.T
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        mid = a + b + c - lo - hi
+        # the first of each run of equal rows in a stable sort: np.unique's first indices
+        order = np.lexsort((hi, mid, lo))
+        lo, mid, hi = lo[order], mid[order], hi[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (mid[1:] != mid[:-1]) | (hi[1:] != hi[:-1])
+        return TriMesh(self.vertices, tris[np.sort(order[first])])
 
 
 def signed_volume(mesh: TriMesh) -> float:
@@ -103,12 +112,12 @@ def _edge_table(triangles: np.ndarray):
     directed = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2)
     # one int64 key per sorted endpoint pair: its order is the pairs' lexicographic order
     n = int(triangles.max(initial=0)) + 1
-    ends = np.sort(directed, axis=1)
+    u, v = directed.T
     key, first, inverse, count = np.unique(
-        ends[:, 0] * n + ends[:, 1], return_index=True, return_inverse=True, return_counts=True
+        np.minimum(u, v) * n + np.maximum(u, v), return_index=True, return_inverse=True, return_counts=True
     )
     edges = np.stack(np.divmod(key, n), axis=1)
-    sign = np.where(directed[:, 0] < directed[:, 1], 1.0, -1.0)
+    sign = np.where(u < v, 1.0, -1.0)
     direction = np.bincount(inverse, weights=sign, minlength=len(key))
     return directed, edges, first, count, direction
 
@@ -139,7 +148,7 @@ def validate(mesh: TriMesh) -> TopologyReport:
             (np.ones(len(label)), (label[:, 0], label[:, 1])), shape=(len(ends), len(ends))
         )
         loops = int(connected_components(graph, directed=False)[0])
-    n_ref_vertices = len(np.unique(mesh.triangles))
+    n_ref_vertices = int(np.count_nonzero(np.bincount(mesh.triangles.ravel())))
     euler = n_ref_vertices - len(edges) + mesh.n_triangles
     manifold = non_manifold == 0
     return TopologyReport(
@@ -159,9 +168,9 @@ def validate(mesh: TriMesh) -> TopologyReport:
 
 _PAIR_CHUNK = 1 << 16  # candidate pairs per batch; bounds the working memory
 
-# Batches are component-major: a triangle batch is (3 vertices, 3 coords, P)
-# and a vector batch (3, P), so reductions over a triangle's three vertices
-# or coordinates run along the leading axis, element-wise over P.
+# Triangles are component-major, p (3 vertices, 3 coords, T) and normals
+# (3, T), so that each p[k, c] is one contiguous row: a batch of pairs
+# gathers 1-D rows, which costs less than gathering columns of (3, T) arrays.
 
 
 def _median_cell(ext: np.ndarray) -> float:
@@ -173,14 +182,13 @@ def _median_cell(ext: np.ndarray) -> float:
 
 
 def _grid_entries(ilo: np.ndarray, span: np.ndarray, dims):
-    """One entry per (box, grid cell it touches), sorted by cell.
+    """One entry per (box, grid cell it touches), box by box.
 
     ilo and span are (D, N) integer boxes: box n covers cells ilo[a, n] ..
     ilo[a, n] + span[a, n] - 1 on each axis a of a grid of dims cells (a
     span of 0 covers none).  Returns (box, key, low): each entry's box, the
     flat C-order key of its cell, and a bit per axis, 1 << a, set where the
-    cell is the box's low cell on axis a.  Boxes stay ascending inside each
-    cell.
+    cell is the box's low cell on axis a.  The caller orders them.
     """
     strides = np.array([np.prod(dims[a + 1:], dtype=np.int64) for a in range(len(dims))])
     ncell = span.prod(axis=0)
@@ -190,45 +198,58 @@ def _grid_entries(ilo: np.ndarray, span: np.ndarray, dims):
     low = np.zeros(len(box), dtype=np.uint8)
     # the last axis runs fastest through a box's cells
     for a in range(len(dims) - 1, 0, -1):
-        s = span[a, box]
-        o = k % s
-        k //= s
+        k, o = np.divmod(k, span[a][box])
         key += o * strides[a]
         low |= (o == 0).astype(np.uint8) << a
     key += k * strides[0]
     low |= (k == 0).astype(np.uint8)
-    del k
-    # the stable sort keeps boxes ascending inside each cell
-    order = np.argsort(key, kind="stable")
-    return box[order], key[order], low[order]
+    return box, key, low
 
 
-def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
-    """Yield (i, j), i < j, of every triangle pair whose closed bboxes overlap, in batches.
+# The entries of a cell are sorted by the rank of their low bits, in the
+# order _LOW_ORDER.  An entry pairs with the entries after it in its cell
+# whose bits complete its own to 7; in this order those are the ranks
+# _FROM[rank] .. _TO[rank] - 1 (7, which pairs with every entry, comes first).
+_LOW_ORDER = np.array([7, 0, 1, 2, 4, 3, 6, 5])
+_RANK = np.argsort(_LOW_ORDER)
+_FROM = np.array([0, 8, 6, 7, 5, 6, 7, 8])
+_TO = np.array([8, 8, 7, 8, 6, 8, 8, 8])
+
+
+def _grid_pairs(lo: np.ndarray, hi: np.ndarray):
+    """Yield (i, j) of every triangle pair whose boxes touch a common grid cell, once, in batches.
 
     lo and hi are (3, T) box corners.  Each box is entered into every cell
-    of a uniform grid (cell edge: the median box extent) that it touches.
-    Pairs are formed inside each cell and kept only in the cell that holds
-    the low corner of the two boxes' overlap, so every overlapping pair is
-    produced exactly once.
+    of a uniform grid that it touches (cell edge: the median box extent).
+    A pair is formed only in the low corner of the cells both boxes touch:
+    the cell where, on every axis, one of the two boxes starts.  So every
+    pair of overlapping closed boxes is produced exactly once, with i and j
+    in either order.
     """
-    cell = _median_cell(hi - lo)
+    # cell key, rank and triangle pack into one int64 that np.sort orders;
+    # at most about 2^side cells a side keep it below 2^63
+    bits = max(lo.shape[1] - 1, 1).bit_length()
+    side = (58 - bits) // 3
+    cell = max(_median_cell(hi - lo), float((hi.max(axis=1) - lo.min(axis=1)).max()) * 2.0**-side)
     ilo = np.floor(lo / cell).astype(np.int64)
     span = np.floor(hi / cell).astype(np.int64) - ilo + 1
     ilo -= ilo.min(axis=1, keepdims=True)
-    tri, keys, low = _grid_entries(ilo, span, (ilo + span).max(axis=1))
+    tri, key, low = _grid_entries(ilo, span, (ilo + span).max(axis=1))
+    packed = np.sort((key * 8 + _RANK[low]) << bits | tri)
+    tri = packed & ((1 << bits) - 1)
+    key = packed >> bits
 
-    # entry q pairs with the later entries q+1 .. end-1 of its cell.  Both
-    # boxes touch the cell, so it holds the low corner of their overlap iff
-    # on every axis it is the low cell of one of the two boxes.
-    after = np.arange(1, len(keys) + 1)
-    n_partners = np.searchsorted(keys, keys, side="right") - after
-    for first, second in _pair_batches(after, n_partners):
-        corner = (low[first] | low[second]) == 7
-        i = tri[first[corner]]
-        j = tri[second[corner]]
-        keep = ((lo[:, i] <= hi[:, j]) & (lo[:, j] <= hi[:, i])).all(axis=0)
-        yield i[keep], j[keep]
+    # row 9c + r of start: the first entry of the c-th cell with rank r or
+    # more (r = 8: the cell's end)
+    rank = key & 7
+    row = np.zeros(len(key), dtype=np.int64)
+    np.cumsum(key[1:] >> 3 != key[:-1] >> 3, out=row[1:])
+    row *= 9
+    start = np.cumsum(np.bincount(row + rank + 1, minlength=row[-1] + 9))
+    first = np.maximum(start[row + _FROM[rank]], np.arange(1, len(key) + 1))
+    count = np.maximum(start[row + _TO[rank]] - first, 0)
+    for rows, cols in _pair_batches(first, count):
+        yield tri[rows], tri[cols]
 
 
 def _pair_batches(base: np.ndarray, count: np.ndarray):
@@ -247,23 +268,23 @@ def _pair_batches(base: np.ndarray, count: np.ndarray):
         start = stop
 
 
+# relative tolerance of the narrow phase: plane distances below it (times
+# the larger of 1 and the triangle's largest distance) count as zero, and
+# intervals must overlap by more than it (times the larger of 1 and the
+# longer interval)
+_EPS = 1e-10
+
 # ordered vertex pairs (a, b), a != b, of a triangle
 _PAIR_A = np.array([0, 0, 1, 1, 2, 2])
 _PAIR_B = np.array([1, 2, 0, 2, 0, 1])
-_NEXT = np.array([1, 2, 0])
-
-
-def _pick(t: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """t[:, axis[p], p] for a triangle batch t (3, 3, P)."""
-    return np.take_along_axis(t, axis[None, None, :], axis=1)[:, 0]
 
 
 def _crossing_interval(p: np.ndarray, d: np.ndarray):
     """Projection intervals of triangles on their plane-intersection lines.
 
     p (3, P) are the vertices' coordinates along the line, d (3, P) their
-    signed plane distances with small values already zeroed.  Returns
-    (lo, hi, ok); ok is False where no interval exists.
+    signed plane distances with small values already zeroed.  Every
+    triangle straddles the plane (see _sides).  Returns (lo, hi).
     """
     da = d[_PAIR_A]
     db = d[_PAIR_B]
@@ -271,101 +292,140 @@ def _crossing_interval(p: np.ndarray, d: np.ndarray):
     pa = p[_PAIR_A]
     ts = np.concatenate([pa + (p[_PAIR_B] - pa) * da / np.where(crosses, da - db, 1.0), p])
     on = np.concatenate([crosses, d == 0])
-    lo = np.where(on, ts, np.inf).min(axis=0)
-    hi = np.where(on, ts, -np.inf).max(axis=0)
-    ok = (on.sum(axis=0) >= 2) & d.any(axis=0)
-    return lo, hi, ok
+    return np.where(on, ts, np.inf).min(axis=0), np.where(on, ts, -np.inf).max(axis=0)
 
 
-def _contains(tri: np.ndarray, pt: np.ndarray) -> np.ndarray:
-    """Strict 2D containment of pt (2, P) in tri (3, 2, P); on-edge counts as outside."""
-    e = tri[_NEXT] - tri
-    w = pt - tri
-    cr = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-    return (np.abs(cr) >= 1e-14).all(axis=0) & ((cr > 0).all(axis=0) | (cr < 0).all(axis=0))
+def _contains(tri, edge, pt) -> np.ndarray:
+    """Strict 2D containment of pt (x, y) in the triangles tri (three (x, y)
+    vertices) with edges edge; on-edge counts as outside."""
+    cr = [e[0] * (pt[1] - v[1]) - e[1] * (pt[0] - v[0]) for v, e in zip(tri, edge)]
+    return ((np.abs(cr[0]) >= 1e-14) & (np.abs(cr[1]) >= 1e-14) & (np.abs(cr[2]) >= 1e-14)
+            & (((cr[0] > 0) & (cr[1] > 0) & (cr[2] > 0)) | ((cr[0] < 0) & (cr[1] < 0) & (cr[2] < 0))))
 
 
-def _coplanar_tri_tri(t1: np.ndarray, t2: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Overlap of coplanar pairs, projected on the plane that drops n's largest axis.
+def _coplanar_tri_tri(p: np.ndarray, n: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Overlap of the coplanar pairs (i, j), projected on the plane that drops the largest axis of n_i.
 
     A pair overlaps if two of its edges cross at interior points of both,
     or if either triangle contains the other's centroid.
     """
-    drop = np.argmax(np.abs(n), axis=0)
+    drop = np.argmax(np.abs(n[:, i]), axis=0)
     u = np.where(drop == 0, 1, 0)
     v = np.where(drop == 2, 1, 2)
-    a = np.stack([_pick(t1, u), _pick(t1, v)], axis=1)
-    b = np.stack([_pick(t2, u), _pick(t2, v)], axis=1)
+    a = [(p[k][u, i], p[k][v, i]) for k in range(3)]
+    b = [(p[k][u, j], p[k][v, j]) for k in range(3)]
+    r = [(a[(k + 1) % 3][0] - a[k][0], a[(k + 1) % 3][1] - a[k][1]) for k in range(3)]
+    s = [(b[(k + 1) % 3][0] - b[k][0], b[(k + 1) % 3][1] - b[k][1]) for k in range(3)]
+    hit = np.zeros(len(i), dtype=bool)
+    for ak, (rx, ry) in zip(a, r):
+        for bk, (sx, sy) in zip(b, s):
+            qx = bk[0] - ak[0]
+            qy = bk[1] - ak[1]
+            denom = rx * sy - ry * sx
+            ok = np.abs(denom) >= 1e-14
+            denom = np.where(ok, denom, 1.0)
+            t = (qx * sy - qy * sx) / denom
+            w = (qx * ry - qy * rx) / denom
+            hit |= ok & (1e-9 < t) & (t < 1 - 1e-9) & (1e-9 < w) & (w < 1 - 1e-9)
+    ca = [(a[0][c] + a[1][c] + a[2][c]) / 3.0 for c in range(2)]
+    cb = [(b[0][c] + b[1][c] + b[2][c]) / 3.0 for c in range(2)]
+    return hit | _contains(a, r, cb) | _contains(b, s, ca)
 
-    # all nine edge pairs, indexed [edge of a, edge of b, coordinate, pair]
-    r = (a[_NEXT] - a)[:, None]
-    s = (b[_NEXT] - b)[None, :]
-    qp = b[None, :] - a[:, None]
-    denom = r[:, :, 0] * s[:, :, 1] - r[:, :, 1] * s[:, :, 0]
-    ok = np.abs(denom) >= 1e-14
-    denom = np.where(ok, denom, 1.0)
-    t = (qp[:, :, 0] * s[:, :, 1] - qp[:, :, 1] * s[:, :, 0]) / denom
-    w = (qp[:, :, 0] * r[:, :, 1] - qp[:, :, 1] * r[:, :, 0]) / denom
-    inner = ok & (1e-9 < t) & (t < 1 - 1e-9) & (1e-9 < w) & (w < 1 - 1e-9)
 
-    ca = (a[0] + a[1] + a[2]) / 3.0
-    cb = (b[0] + b[1] + b[2]) / 3.0
-    return inner.any(axis=(0, 1)) | _contains(a, cb) | _contains(b, ca)
+def _plane_distances(p: np.ndarray, n: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(3, P): n_j . (v - p_j0) for the vertices v of triangles i, from 1-D gathers."""
+    q = [p[0, c][j] for c in range(3)]
+    m = [n[c][j] for c in range(3)]
+    return np.stack([(p[k, 0][i] - q[0]) * m[0] + (p[k, 1][i] - q[1]) * m[1] + (p[k, 2][i] - q[2]) * m[2]
+                     for k in range(3)])
 
 
-def _tri_tri_intersect(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Moller's interval test on (3, 3, P) batches of triangle pairs.
+def _sides(d: np.ndarray):
+    """How triangles lie against the other triangles' planes, from their plane distances d (3, P).
 
-    Plane distances below 1e-10 of the larger of 1 and the triangle's
-    largest distance count as zero; a pair with every distance zero takes
-    the coplanar test.  Shared-vertex pairs are filtered by the caller.
+    A distance below _EPS times the larger of 1 and the triangle's largest
+    distance counts as zero.  Returns (tol, apart, flat, straddles): that
+    bound; where the triangle lies strictly on one side of the plane
+    (every distance above 1e-12, or every one below -1e-12), so cannot
+    touch it; where every distance is zero; and where the triangle meets
+    the plane along an interval: vertices on both sides, or exactly two on it.
     """
-    eps = 1e-10
-    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0], axis=0)
-    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0], axis=0)
-    dv = ((t1 - t2[0]) * n2).sum(axis=1)
-    du = ((t2 - t1[0]) * n1).sum(axis=1)
-    # a triangle strictly on one side of the other's plane cannot touch it
-    sep = (dv > 1e-12).all(axis=0) | (dv < -1e-12).all(axis=0)
-    sep |= (du > 1e-12).all(axis=0) | (du < -1e-12).all(axis=0)
-    hit = np.zeros(t1.shape[2], dtype=bool)
-    live = np.flatnonzero(~sep)
-    t1, t2, n1, n2, dv, du = (x[..., live] for x in (t1, t2, n1, n2, dv, du))
-    dv[np.abs(dv) < eps * np.maximum(np.abs(dv).max(axis=0), 1.0)] = 0.0
-    du[np.abs(du) < eps * np.maximum(np.abs(du).max(axis=0), 1.0)] = 0.0
+    lo = np.minimum(np.minimum(d[0], d[1]), d[2])
+    hi = np.maximum(np.maximum(d[0], d[1]), d[2])
+    big = np.maximum(hi, -lo)
+    tol = _EPS * np.maximum(big, 1.0)
+    zeros = (np.abs(d[0]) < tol).view(np.uint8) + (np.abs(d[1]) < tol).view(np.uint8)
+    zeros += (np.abs(d[2]) < tol).view(np.uint8)
+    straddles = ((hi >= tol) & (lo <= -tol)) | (zeros == 2)
+    return tol, (lo > 1e-12) | (hi < -1e-12), big < tol, straddles
 
-    coplanar = ~dv.any(axis=0) & ~du.any(axis=0)
-    cop = np.flatnonzero(coplanar)
-    hit[live[cop]] = _coplanar_tri_tri(t1[..., cop], t2[..., cop], n1[:, cop])
 
-    gen = np.flatnonzero(~coplanar)
-    t1, t2, dv, du = (x[..., gen] for x in (t1, t2, dv, du))
-    axis = np.argmax(np.abs(np.cross(n1[:, gen], n2[:, gen], axis=0)), axis=0)
-    lo1, hi1, ok1 = _crossing_interval(_pick(t1, axis), dv)
-    lo2, hi2, ok2 = _crossing_interval(_pick(t2, axis), du)
+def _tri_tri_intersect(p: np.ndarray, n: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Moller's interval test on the triangle pairs (i, j) of p (3 vertices, 3 coords, T).
+
+    n (3, T) are the triangles' normals.  A pair with every plane distance
+    zero (see _sides) takes the coplanar test; any other pair has an
+    interval on the line of both planes only where each triangle straddles
+    the other's plane, and only those pairs compare intervals.
+    Shared-vertex pairs are filtered by the caller.
+    """
+    hit = np.zeros(len(i), dtype=bool)
+    dv = _plane_distances(p, n, i, j)
+    du = _plane_distances(p, n, j, i)
+    tol_v, apart_v, flat_v, straddles_v = _sides(dv)
+    tol_u, apart_u, flat_u, straddles_u = _sides(du)
+    near = ~(apart_v | apart_u)
+    cop = np.flatnonzero(near & flat_v & flat_u)
+    hit[cop] = _coplanar_tri_tri(p, n, i[cop], j[cop])
+
+    g = np.flatnonzero(near & straddles_v & straddles_u)
+    ig, jg = i[g], j[g]
+    dv, du = dv[:, g], du[:, g]
+    dv = np.where(np.abs(dv) < tol_v[g], 0.0, dv)
+    du = np.where(np.abs(du) < tol_u[g], 0.0, du)
+    axis = np.argmax(np.abs(np.cross(n[:, ig], n[:, jg], axis=0)), axis=0)
+    lo1, hi1 = _crossing_interval(p[:, axis, ig], dv)
+    lo2, hi2 = _crossing_interval(p[:, axis, jg], du)
     span = np.maximum(np.maximum(np.abs(hi1 - lo1), np.abs(hi2 - lo2)), 1.0)
-    overlap = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
-    hit[live[gen]] = ok1 & ok2 & (overlap > eps * span)
+    hit[g] = np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > _EPS * span
     return hit
 
 
 def count_self_intersections(mesh: TriMesh) -> int:
     """Number of triangle pairs that properly intersect (shared-vertex pairs excluded).
 
+    Raises ValueError naming the first non-finite vertex a triangle uses.
     Known behaviour: two triangles that meet along a whole edge without
     sharing vertex indices (an unwelded seam) count 0 when they are coplanar
     and 1 when they are folded out of plane.
     """
     tris = mesh.triangles
+    p = np.ascontiguousarray(mesh.vertices[tris].transpose(1, 2, 0))
+    finite = np.isfinite(p).all(axis=1)
+    if not finite.all():
+        k = int(tris.T[~finite].min())
+        raise ValueError(f"vertex {k} is not finite: {mesh.vertices[k].tolist()}")
     if len(tris) < 2:
         return 0
-    p = np.ascontiguousarray(mesh.vertices[tris].transpose(1, 2, 0))
+    n = np.cross(p[1] - p[0], p[2] - p[0], axis=0)
     corners = np.ascontiguousarray(tris.T)
+    lo, hi = p.min(axis=0), p.max(axis=0)
     count = 0
-    for i, j in _overlapping_pairs(p.min(axis=0), p.max(axis=0)):
+    for i, j in _grid_pairs(lo, hi):
         # shared-vertex pairs are adjacency, not intersections
-        shares = (corners[:, None, i] == corners[None, :, j]).any(axis=(0, 1))
-        count += int(_tri_tri_intersect(p[..., i[~shares]], p[..., j[~shares]]).sum())
+        cj = [corners[b][j] for b in range(3)]
+        shares = np.zeros(len(i), dtype=bool)
+        for a in range(3):
+            ci = corners[a][i]
+            for c in cj:
+                shares |= ci == c
+        i, j = i[~shares], j[~shares]
+        keep = (lo[0][i] <= hi[0][j]) & (lo[0][j] <= hi[0][i])
+        for a in (1, 2):
+            keep &= (lo[a][i] <= hi[a][j]) & (lo[a][j] <= hi[a][i])
+        i, j = i[keep], j[keep]
+        # the pair test is not symmetric: the lower index goes first
+        count += int(_tri_tri_intersect(p, n, np.minimum(i, j), np.maximum(i, j)).sum())
     return count
 
 
@@ -560,7 +620,9 @@ def _ray_parity(pts: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray,
     # boxes clipped to the cells that hold points; one clipped away spans 0 cells
     ilo = np.clip(np.floor((lo - origin) / cell), 0, dims).astype(np.int64)
     ihi = np.clip(np.floor((hi - origin) / cell), -1, dims - 1).astype(np.int64)
-    tri, keys, _ = _grid_entries(ilo, np.maximum(ihi - ilo + 1, 0), dims[:, 0])
+    box, key, _ = _grid_entries(ilo, np.maximum(ihi - ilo + 1, 0), dims[:, 0])
+    order = np.argsort(key)
+    tri, keys = box[order], key[order]
     cell_of = np.ravel_multi_index(tuple(np.floor((q - origin) / cell).astype(np.int64)), tuple(dims[:, 0]))
     first = np.searchsorted(keys, cell_of, side="left")
     count = np.searchsorted(keys, cell_of, side="right") - first

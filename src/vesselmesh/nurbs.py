@@ -195,7 +195,8 @@ class NurbsSurface:
     for i = 0 .. n + degree_v, so the v domain is [0, 1] too.
     control_points has shape (m, n, 3); the last degree_v columns replicate
     the first degree_v ones (periodic closure).  weights has shape (m, n),
-    all strictly positive.
+    all strictly positive.  knots_u, control_points and weights must be
+    finite.
     """
 
     degree_v: int
@@ -216,6 +217,10 @@ class NurbsSurface:
                 f"net {cp.shape[:2]} inconsistent with knots "
                 f"({m_expect}, {n_expect}) at degrees ({_DEGREE_U}, {qv})"
             )
+        for name, value in (("knots_u", ku), ("control_points", cp), ("weights", w)):
+            bad = np.argwhere(~np.isfinite(value))
+            if len(bad):
+                raise ValueError(f"{name} must be finite, got {value[tuple(bad[0])]} at {bad[0].tolist()}")
         if (w <= 0).any():
             raise ValueError("weights must be strictly positive")
         ends = _DEGREE_U + 1

@@ -137,7 +137,8 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
     ``contours.points`` when no closed curve of that degree interpolates
     that many points, or the ``phantom`` or ``family`` field that makes an
     impossible PhantomSpec (the family's at the largest radius of its range),
-    or a family whose widest tube at an extreme offset leaves the volume.
+    a phantom whose tubes leave its volume, or a family whose widest tube at
+    an extreme offset leaves the volume.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config {where.rstrip('.') or 'root'} must be a JSON object")
@@ -152,6 +153,10 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
             continue
         if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
             value = _phantom_spec("phantom.", **resolve_config(value, _PHANTOM, "phantom."))
+            try:
+                phantom.check_in_volume(value)
+            except ValueError as exc:
+                raise ValueError(f"config key phantom: {exc}") from exc
         try:
             if default is None and value is not None and where + key in _OPTIONAL_FLOATS:
                 default = 1.0

@@ -131,6 +131,26 @@ def test_mesh_rejects_other_surface_forms(tmp_path, doc, named):
     assert not (out / "mesh.obj").exists()
 
 
+@pytest.mark.parametrize("field", ["control_points", "weights"])
+def test_mesh_rejects_a_non_finite_surface(tmp_path, field):
+    theta = 2 * np.pi * np.arange(16) / 16
+    stacks = [np.column_stack([5 * np.cos(theta), 5 * np.sin(theta), np.full(16, z)])
+              for z in np.linspace(0, 20, 6)]
+    doc = nurbs.surface_to_dict(nurbs.skin_surface(stacks))
+    doc[field][7] = float("nan") if field == "weights" else [1.0, float("nan"), 2.0]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "surface.nurbs.json").write_text(json.dumps(doc))
+    path = tmp_path / "cfg.json"
+    path.write_text("{}")
+    res = _run("mesh", "--config", str(path), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    err = json.loads(res.stdout.strip().splitlines()[-1])
+    assert err["stage"] == "mesh"
+    assert err["error"].startswith(f"{field} must be finite, got nan at ")
+    assert not (out / "mesh.obj").exists()
+
+
 def test_missing_volume_error_json(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"volume": {"path": "/does/not/exist.f32raw"}}))
@@ -275,64 +295,78 @@ def _with(section, key, value):
     return cfg
 
 
+def _row(n, command, cfg, named):
+    """One row of the table below, with its own id, command<n>-cfg<n>-<named>:
+    the id pytest gave the row when it numbered the rows by position, kept so
+    that a row added anywhere renames no other."""
+    return pytest.param(command, cfg, named, id=f"command{n}-cfg{n}-{named}")
+
+
 @pytest.mark.parametrize("command, cfg, named", [
-    (["pipeline"], _with("surface", "tess_U", 8), "surface.tess_U"),
-    (["pipeline"], _with(None, "contour", {"points": 32}), "contour"),
-    (["pipeline"], _with("phantom", "base_radius", 5.0), "base_radius"),
-    (["pipeline"], _with("surface", "tess_u", "abc"), "surface.tess_u"),
-    (["phantom"], _with("phantom", "base_radius", 5.0), "base_radius"),
-    (["mesh"], _with("surface", "tess_U", 8), "surface.tess_U"),
-    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_mm": 5.0}},
-     "family.radius_mm"),
-    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "dims": "abc"}}, "family.dims"),
-    (["pipeline"], _with("surface", "caps", "false"), "surface.caps"),
-    (["pipeline"], _with("surface", "tess_u", 31.9), "surface.tess_u"),
-    (["pipeline"], _with("surface", "tess_u", True), "surface.tess_u"),
-    (["pipeline"], _with("centerline", "smooth", 0), "centerline.smooth"),
-    (["pipeline"], _with("centerline", "source", "csv"), "centerline.path"),
-    (["pipeline"], _with("centerline", "source", "cdm"), "centerline.checkpoint"),
-    (["pipeline"], _with("centerline", "source", "spline"), "centerline.source"),
-    (["centerline"], _with("centerline", "source", "csv"), "centerline.path"),
-    (["pipeline"], {**_tiny_dict(), "slice": {"n_pix": 12}}, "slice.n_pix"),
-    (["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": 0.0}}, "slice.half_extent_mm"),
-    (["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": -5}}, "slice.half_extent_mm"),
-    (["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": "wide"}}, "slice.half_extent_mm"),
-    (["pipeline"], _with("surface", "tess_u", 15), "surface.tess_u"),
-    (["pipeline"], _with("surface", "tess_v", 8), "surface.tess_v"),
-    (["phantom"], _with("surface", "tess_v", 8), "surface.tess_v"),
-    (["pipeline"], _with("contours", "points", 7), "contours.points"),
-    (["pipeline"], _with("contours", "threshold", 1.0), "contours.threshold"),
-    (["pipeline"], _with("centerline", "k", 3), "centerline.k"),
-    (["pipeline"], _with("surface", "degree_v", 0), "surface.degree_v"),
-    (["pipeline"], _with("surface", "degree_v", 2), "surface.degree_v and contours.points"),
-    (["pipeline"], _with("phantom", "length_mm", "26"), "phantom.length_mm"),
-    (["pipeline"], _with("phantom", "dims", [48, 48]), "phantom.dims"),
-    (["cdm", "sample"], {"checkpoint": "model", "phantom": _tiny_dict()["phantom"]}, "checkpoint"),
-    (["cdm", "train"], {"learning_rate": 0.0, "family": {"count": 2}}, "learning_rate"),
-    (["cdm", "train"], {"batch_size": 0, "family": {"count": 2}}, "batch_size"),
-    (["cdm", "train"], {"iterations": 0, "family": {"count": 2}}, "iterations"),
-    (["cdm", "train"], {"k": 3, "family": {"count": 2}}, "config key k:"),
-    (["cdm", "train"], {"family": {"count": 0}}, "family.count"),
-    (["cdm", "train"], {"timesteps": 20, "family": {"count": 2}}, "timesteps"),
-    (["pipeline"], _with("phantom", "length_mm", -5.0), "length_mm"),
-    (["pipeline"], _with("phantom", "length_mm", 0.0), "length_mm"),
-    (["pipeline"], _with("phantom", "spacing_mm", [0, 1, 1]), "spacing_mm"),
-    (["phantom"], _with("phantom", "spacing_mm", [-1, 1, 1]), "spacing_mm"),
-    (["pipeline"], _with("phantom", "dims", [0, 48, 48]), "dims"),
-    (["pipeline"], _with("phantom", "length_mm", -5.0), "config key phantom.length_mm must be positive"),
-    (["pipeline"], _with("phantom", "shape", "blob"), "config key phantom.shape"),
-    (["phantom"], _with("phantom", "wall_softness_mm", 0), "config key phantom.wall_softness_mm"),
-    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "length_mm": -5.0}},
-     "config key family.length_mm must be positive"),
-    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "shape": "blob"}}, "config key family.shape"),
-    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_range_mm": [-1.0, 2.0]}},
-     "config key family.radius_range_mm"),
-    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "spacing_mm": [0, 1.2, 1.2]}},
-     "config key family.spacing_mm"),
-    (["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_range_mm": [5.0, 30.0]}},
-     "config keys family.radius_range_mm and family.offset_range_mm"),
-    (["compare"], {**_tiny_dict(), "baseline": {"iso": 1.5}}, "baseline.iso"),
-    (["compare"], {**_tiny_dict(), "baseline": {"iso": 0.0}}, "baseline.iso"),
+    _row(0, ["pipeline"], _with("surface", "tess_U", 8), "surface.tess_U"),
+    _row(1, ["pipeline"], _with(None, "contour", {"points": 32}), "contour"),
+    _row(2, ["pipeline"], _with("phantom", "base_radius", 5.0), "base_radius"),
+    _row(3, ["pipeline"], _with("surface", "tess_u", "abc"), "surface.tess_u"),
+    _row(4, ["phantom"], _with("phantom", "base_radius", 5.0), "base_radius"),
+    _row(5, ["mesh"], _with("surface", "tess_U", 8), "surface.tess_U"),
+    _row(6, ["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_mm": 5.0}},
+            "family.radius_mm"),
+    _row(7, ["cdm", "train"], {"iterations": 10, "family": {"count": 2, "dims": "abc"}}, "family.dims"),
+    _row(8, ["pipeline"], _with("surface", "caps", "false"), "surface.caps"),
+    _row(9, ["pipeline"], _with("surface", "tess_u", 31.9), "surface.tess_u"),
+    _row(10, ["pipeline"], _with("surface", "tess_u", True), "surface.tess_u"),
+    _row(11, ["pipeline"], _with("centerline", "smooth", 0), "centerline.smooth"),
+    _row(12, ["pipeline"], _with("centerline", "source", "csv"), "centerline.path"),
+    _row(13, ["pipeline"], _with("centerline", "source", "cdm"), "centerline.checkpoint"),
+    _row(14, ["pipeline"], _with("centerline", "source", "spline"), "centerline.source"),
+    _row(15, ["centerline"], _with("centerline", "source", "csv"), "centerline.path"),
+    _row(16, ["pipeline"], {**_tiny_dict(), "slice": {"n_pix": 12}}, "slice.n_pix"),
+    _row(17, ["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": 0.0}}, "slice.half_extent_mm"),
+    _row(18, ["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": -5}}, "slice.half_extent_mm"),
+    _row(19, ["pipeline"], {**_tiny_dict(), "slice": {"half_extent_mm": "wide"}}, "slice.half_extent_mm"),
+    _row(20, ["pipeline"], _with("surface", "tess_u", 15), "surface.tess_u"),
+    _row(21, ["pipeline"], _with("surface", "tess_v", 8), "surface.tess_v"),
+    _row(22, ["phantom"], _with("surface", "tess_v", 8), "surface.tess_v"),
+    _row(23, ["pipeline"], _with("contours", "points", 7), "contours.points"),
+    _row(24, ["pipeline"], _with("contours", "threshold", 1.0), "contours.threshold"),
+    _row(25, ["pipeline"], _with("centerline", "k", 3), "centerline.k"),
+    _row(26, ["pipeline"], _with("surface", "degree_v", 0), "surface.degree_v"),
+    _row(27, ["pipeline"], _with("surface", "degree_v", 2), "surface.degree_v and contours.points"),
+    _row(28, ["pipeline"], _with("phantom", "length_mm", "26"), "phantom.length_mm"),
+    _row(29, ["pipeline"], _with("phantom", "dims", [48, 48]), "phantom.dims"),
+    _row(30, ["cdm", "sample"], {"checkpoint": "model", "phantom": _tiny_dict()["phantom"]}, "checkpoint"),
+    _row(31, ["cdm", "train"], {"learning_rate": 0.0, "family": {"count": 2}}, "learning_rate"),
+    _row(32, ["cdm", "train"], {"batch_size": 0, "family": {"count": 2}}, "batch_size"),
+    _row(33, ["cdm", "train"], {"iterations": 0, "family": {"count": 2}}, "iterations"),
+    _row(34, ["cdm", "train"], {"k": 3, "family": {"count": 2}}, "config key k:"),
+    _row(35, ["cdm", "train"], {"family": {"count": 0}}, "family.count"),
+    _row(36, ["cdm", "train"], {"timesteps": 20, "family": {"count": 2}}, "timesteps"),
+    _row(37, ["pipeline"], _with("phantom", "length_mm", -5.0), "length_mm"),
+    _row(38, ["pipeline"], _with("phantom", "length_mm", 0.0), "length_mm"),
+    _row(39, ["pipeline"], _with("phantom", "spacing_mm", [0, 1, 1]), "spacing_mm"),
+    _row(40, ["phantom"], _with("phantom", "spacing_mm", [-1, 1, 1]), "spacing_mm"),
+    _row(41, ["pipeline"], _with("phantom", "dims", [0, 48, 48]), "dims"),
+    _row(42, ["pipeline"], _with("phantom", "length_mm", -5.0),
+             "config key phantom.length_mm must be positive"),
+    _row(43, ["pipeline"], _with("phantom", "shape", "blob"), "config key phantom.shape"),
+    _row(44, ["phantom"], _with("phantom", "wall_softness_mm", 0), "config key phantom.wall_softness_mm"),
+    _row(45, ["cdm", "train"], {"iterations": 10, "family": {"count": 2, "length_mm": -5.0}},
+             "config key family.length_mm must be positive"),
+    _row(46, ["cdm", "train"], {"iterations": 10, "family": {"count": 2, "shape": "blob"}},
+             "config key family.shape"),
+    _row(47, ["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_range_mm": [-1.0, 2.0]}},
+             "config key family.radius_range_mm"),
+    _row(48, ["cdm", "train"], {"iterations": 10, "family": {"count": 2, "spacing_mm": [0, 1.2, 1.2]}},
+             "config key family.spacing_mm"),
+    _row(49, ["cdm", "train"], {"iterations": 10, "family": {"count": 2, "radius_range_mm": [5.0, 30.0]}},
+             "config keys family.radius_range_mm and family.offset_range_mm"),
+    _row(50, ["compare"], {**_tiny_dict(), "baseline": {"iso": 1.5}}, "baseline.iso"),
+    _row(51, ["compare"], {**_tiny_dict(), "baseline": {"iso": 0.0}}, "baseline.iso"),
+    pytest.param(["pipeline"], {"phantom": {"shape": "straight", "dims": [48, 48, 48],
+                                            "spacing_mm": [0.9, 0.9, 0.9], "length_mm": 30.0,
+                                            "base_radius_mm": 5.0}},
+                 "config key phantom: phantom tube (main) exceeds volume bounds",
+                 id="phantom-outside-its-volume"),
 ])
 def test_bad_config_exits_2_before_any_artifact(tmp_path, command, cfg, named):
     path = tmp_path / "cfg.json"

@@ -73,6 +73,28 @@ def test_clean_removes_degenerate_and_duplicate():
     assert cleaned.n_triangles == 2
 
 
+def test_clean_keeps_the_first_of_each_duplicate_in_order():
+    # the rows np.unique(axis=0, return_index=True) kept, in their order,
+    # whatever the winding or rotation of the later copies
+    rng = np.random.default_rng(11)
+    tris = rng.integers(0, 40, size=(3000, 3))
+    tris = np.vstack([tris, tris[::7, ::-1], np.roll(tris[::5], 1, axis=1)])
+    tris = tris[rng.permutation(len(tris))]
+    mesh = meshkit.TriMesh(rng.normal(size=(40, 3)), tris)
+    keep = mesh.triangle_areas() >= 1e-12
+    _, first = np.unique(np.sort(tris[keep], axis=1), axis=0, return_index=True)
+    assert np.array_equal(mesh.clean().triangles, tris[keep][np.sort(first)])
+
+
+def test_triangle_areas_have_the_bits_of_cross_and_norm():
+    rng = np.random.default_rng(12)
+    verts = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-4, 4, size=(500, 1))
+    mesh = meshkit.TriMesh(verts, rng.integers(0, 500, size=(4000, 3)))
+    p = verts[mesh.triangles]
+    areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    assert np.array_equal(mesh.triangle_areas(), areas)
+
+
 def test_marching_cubes_sphere():
     n = 48
     spacing = 1.0

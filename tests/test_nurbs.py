@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -346,6 +347,19 @@ def test_knot_vector_style_invariants():
     for bad in (unwrapped, kv + 0.5, kv * (1 + 1e-15)):
         with pytest.raises(ValueError, match="knots_v"):
             rebuilt(ku, bad)
+
+
+@pytest.mark.parametrize("field, index", [("control_points", (2, 3, 1)), ("weights", (1, 4)),
+                                          ("knots_u", (5,))])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_net_is_rejected(field, index, value):
+    surf = nurbs.skin_surface(_circle_contours(4.0, 8, np.linspace(0, 10, 6)))
+    arrays = {name: getattr(surf, name).copy() for name in ("knots_u", "control_points", "weights")}
+    arrays[field][index] = value
+    where = re.escape(str(list(index)))
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got -?(nan|inf) at {where}$"):
+        nurbs.NurbsSurface(surf.degree_v, arrays["knots_u"], surf.knots_v, arrays["control_points"],
+                           arrays["weights"])
 
 
 def test_skin_batched_solve_matches_per_column_solves():

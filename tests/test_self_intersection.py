@@ -282,3 +282,75 @@ def test_crossing_pair_and_clean_tube(straight_spec):
 def test_fewer_than_two_triangles(n):
     mesh = meshkit.TriMesh(np.eye(3), np.tile([0, 1, 2], (n, 1)))
     assert meshkit.count_self_intersections(mesh) == 0
+
+
+def test_planar_quads_of_the_straight_tube(straight_spec):
+    # the wall quads of a tube on the volume's axis are exactly planar, and
+    # vertices lie exactly on the planes of other triangles
+    mesh = phantom.analytic_surface(straight_spec, 64, 64, caps=True)
+    assert mesh.n_triangles == 8192
+    assert _check(mesh) == 0
+
+
+def test_rings_shifted_sideways():
+    # every other ring 4 mm off the axis: the wall bends sharply at every
+    # ring but never crosses itself; moved 4 mm back along the axis as
+    # well, each such ring lies behind the one before it and the wall folds
+    # through itself
+    theta = 2.0 * np.pi * np.arange(24) / 24
+
+    def tube(back):
+        return meshkit.loft_rings(np.stack([
+            np.column_stack([4.0 * np.cos(theta) + 4.0 * (k % 2), 4.0 * np.sin(theta),
+                             np.full(24, 1.5 * k - back * (k % 2))])
+            for k in range(12)]), caps=True)
+
+    assert _check(tube(0.0)) == 0
+    assert _check(tube(4.0)) > 100
+
+
+def test_marching_cubes_of_the_compared_tube(straight_volume):
+    # compare_baseline's marching-cubes mesh of the 64^3 straight phantom
+    mesh = meshkit.marching_cubes(straight_volume, 0.5)
+    assert mesh.n_triangles > 6000
+    assert _check(mesh) == 0
+
+
+def test_few_pairs_reach_the_interval_test(monkeypatch, straight_spec):
+    # guards against a narrow phase that computes intervals for pairs
+    # whose triangles cannot meet the other's plane along a segment
+    mesh = phantom.analytic_surface(straight_spec, 64, 64, caps=True)
+    tested, interval = [], []
+    tri_tri, crossing = meshkit._tri_tri_intersect, meshkit._crossing_interval
+
+    def counting_tri_tri(p, n, i, j):
+        tested.append(len(i))
+        return tri_tri(p, n, i, j)
+
+    def counting_crossing(p, d):
+        interval.append(d.shape[1])
+        return crossing(p, d)
+
+    monkeypatch.setattr(meshkit, "_tri_tri_intersect", counting_tri_tri)
+    monkeypatch.setattr(meshkit, "_crossing_interval", counting_crossing)
+    assert meshkit.count_self_intersections(mesh) == 0
+    assert sum(tested) > 15000
+    assert sum(interval) < 0.01 * sum(tested)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_raises(straight_spec, value):
+    mesh = phantom.analytic_surface(straight_spec, 16, 16, caps=True)
+    vertices = mesh.vertices.copy()
+    vertices[[40, 23], 1] = value
+    bad = meshkit.TriMesh(vertices, mesh.triangles)
+    with pytest.raises(ValueError, match=r"^vertex 23 is not finite: \[.*\]$"):
+        meshkit.count_self_intersections(bad)
+    with pytest.raises(ValueError, match=r"^vertex 23 is not finite"):
+        meshkit.validate(bad)
+
+
+def test_unreferenced_non_finite_vertex_is_ignored(straight_spec):
+    mesh = phantom.analytic_surface(straight_spec, 16, 16, caps=True)
+    vertices = np.vstack([mesh.vertices, [[np.nan, 0.0, 0.0]]])
+    assert meshkit.validate(meshkit.TriMesh(vertices, mesh.triangles)) == meshkit.validate(mesh)
