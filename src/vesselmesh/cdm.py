@@ -88,6 +88,12 @@ def forward_noise(ci0, t, eps, sched: NoiseSchedule):
     return np.sqrt(ab) * ci0 + np.sqrt(1.0 - ab) * eps
 
 
+# the feature lookup's 33 offsets in voxel steps: the 3x3x3 patch, then the
+# +x +y +z -x -y -z gradient steps
+_OFFSETS = np.vstack([[(i, j, k) for k in (-1, 0, 1) for j in (-1, 0, 1) for i in (-1, 0, 1)],
+                      np.eye(3), -np.eye(3)])
+
+
 class VolumeFeatureEncoder:
     """Handcrafted per-point conditioning: intensity, central-difference
     gradient at one voxel step, and the 3x3x3 patch mean (5 values)."""
@@ -96,10 +102,6 @@ class VolumeFeatureEncoder:
 
     def __init__(self, vol: Volume):
         self.vol = vol
-        patch = np.array([(i, j, k) for k in (-1, 0, 1) for j in (-1, 0, 1) for i in (-1, 0, 1)])
-        grad = np.vstack([np.eye(3), -np.eye(3)])
-        # one fused lookup: 27 patch offsets then +x +y +z -x -y -z steps
-        self._offsets = np.vstack([patch, grad]) * np.asarray(vol.spacing)[None, :]
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -111,11 +113,10 @@ def _encode_features(encoders, points) -> np.ndarray:
     volume: all B * n * 33 lookups in one trilinear pass.  Returns (B, n, 5)."""
     b, n = points.shape[:2]
     vols = [enc.vol for enc in encoders]
-    offsets = np.stack([enc._offsets for enc in encoders])
     origin = np.array([vol.origin for vol in vols])[:, None]
     spacing = np.array([vol.spacing for vol in vols])[:, None]
     dims = np.array([vol.dims for vol in vols])[:, None]
-    query = (points[:, :, None, :] + offsets[:, None, :, :]).reshape(b, n * 33, 3)
+    query = (points[:, :, None, :] + (_OFFSETS * spacing)[:, None, :, :]).reshape(b, n * 33, 3)
     if not np.isfinite(query).all():
         raise ValueError("non-finite sample point")
     q = (query - origin) / spacing
@@ -179,8 +180,6 @@ class MlpDenoiser:
             feats = feats[None]
         b = ci_t.shape[0]
         emb = time_embedding(t, self.time_dim)
-        if emb.shape[0] == 1 and b > 1:
-            emb = np.repeat(emb, b, axis=0)
         return np.concatenate(
             [ci_t.reshape(b, -1), feats.reshape(b, -1), emb], axis=1
         )
@@ -288,9 +287,7 @@ def loss_and_grads(pairs, denoiser, sched: NoiseSchedule, rng) -> tuple[float, n
     targets = eps.reshape(b, k * 3)
 
     if not isinstance(denoiser, MlpDenoiser):
-        preds = np.stack(
-            [denoiser.predict(c, t, f) for c, t, f in zip(ci_t, ts, feats)]
-        ).reshape(b, k * 3)
+        preds = denoiser.predict(ci_t, ts, feats).reshape(b, k * 3)
         resid = preds - targets
         return float(np.mean(resid * resid)), None
 
@@ -305,8 +302,7 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
-          denoiser: MlpDenoiser | None = None, log_every: int = 100):
+def train(dataset, cfg: TrainConfig, sched: NoiseSchedule, log_every: int = 100):
     """Adam-style optimization of the denoiser; deterministic for a seed.
 
     Returns (denoiser, curve) where curve rows are (iteration, loss,
@@ -316,9 +312,7 @@ def train(dataset, cfg: TrainConfig, sched: NoiseSchedule,
     """
     if len(dataset) < 1:
         raise ValueError("empty dataset")
-    k = _common_k(dataset, denoiser)
-    if denoiser is None:
-        denoiser = MlpDenoiser(k, VolumeFeatureEncoder.n_features, seed=cfg.seed)
+    denoiser = MlpDenoiser(_common_k(dataset), VolumeFeatureEncoder.n_features, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
     m = np.zeros_like(denoiser.flat)
@@ -413,7 +407,8 @@ class OracleDenoiser:
         self.k_points = self.ci0.shape[0]
 
     def predict(self, ci_t, t, features) -> np.ndarray:
-        ab = self.sched.alpha_bars[t]
+        """Noise of a (k, 3) image at step t, or of a (B, k, 3) batch at (B,) steps."""
+        ab = self.sched.alpha_bars[t][..., None, None]
         return (np.asarray(ci_t) - np.sqrt(ab) * self.ci0) / np.sqrt(1.0 - ab)
 
 

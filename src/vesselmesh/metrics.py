@@ -1,4 +1,4 @@
-"""Evaluation metrics: CD, HD, EMD on point sets; Dice, ASD, HD on voxel masks.
+"""Evaluation metrics: CD, HD, EMD on point sets; Dice and ASD on voxel masks.
 
 Chamfer distance is the non-squared symmetric form,
 0.5 * (mean_a min_b |a - b| + mean_b min_a |a - b|), in mm, matching
@@ -89,25 +89,16 @@ def _boundary_points_mm(mask: np.ndarray, spacing) -> np.ndarray:
     return zyx[:, ::-1] * sp[None, :]  # to (x, y, z) mm
 
 
-def _mask_boundaries(a, b, spacing, name: str):
-    """Boundary points (mm) of two voxel masks of one shape, both nonempty."""
+def asd(a, b, spacing) -> float:
+    """Average symmetric surface distance between two nonempty voxel masks
+    of one shape, mm."""
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
         raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
     if not a.any() or not b.any():
-        raise ValueError(f"{name} requires both masks nonempty")
-    return _boundary_points_mm(a, spacing), _boundary_points_mm(b, spacing)
-
-
-def asd(a, b, spacing) -> float:
-    """Average symmetric surface distance between two voxel masks, mm."""
-    return chamfer(*_mask_boundaries(a, b, spacing, "ASD"))
-
-
-def mask_hausdorff(a, b, spacing) -> float:
-    """Hausdorff distance between mask boundaries, mm."""
-    return hausdorff(*_mask_boundaries(a, b, spacing, "mask Hausdorff"))
+        raise ValueError("ASD requires both masks nonempty")
+    return chamfer(_boundary_points_mm(a, spacing), _boundary_points_mm(b, spacing))
 
 
 def area_uniform_samples(mesh, n: int, seed: int) -> np.ndarray:
@@ -132,7 +123,7 @@ def mesh_metric_report(candidate, reference, seed: int = 0, inputs=None) -> dict
     """CD/HD on mesh vertex sets plus exact EMD on seeded area-uniform samples,
     as many per mesh as the EMD cap allows.
 
-    Mask metrics are null in mesh-to-mesh reports; see mask_metric_report.
+    The mask metric keys are null in mesh-to-mesh reports.
     """
     cd_mm, hd_mm = _chamfer_hausdorff(candidate.vertices, reference.vertices)
     sa = area_uniform_samples(candidate, _EMD_CAP, seed)
@@ -148,16 +139,3 @@ def mesh_metric_report(candidate, reference, seed: int = 0, inputs=None) -> dict
         "seeds": {"emd_candidate": seed, "emd_reference": seed + 1, "emd_samples": _EMD_CAP},
     }
 
-
-def mask_metric_report(a, b, spacing, inputs=None) -> dict:
-    """Dice/ASD/Hausdorff between voxel masks, same report schema."""
-    return {
-        "cd_mm": None,
-        "hd_mm": None,
-        "emd_mm": None,
-        "dice": dice(a, b),
-        "asd_mm": asd(a, b, spacing),
-        "hd_mask_mm": mask_hausdorff(a, b, spacing),
-        "inputs": inputs or {},
-        "seeds": {},
-    }

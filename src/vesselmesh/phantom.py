@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -104,10 +103,6 @@ class PhantomSpec:
                 raise ValueError(f"unknown phantom key {key!r}")
         tuples = {key: tuple(doc[key]) for key in ("dims", "spacing_mm", "axis_offset_mm") if key in doc}
         return PhantomSpec(**{**doc, **tuples})
-
-
-def load_spec(path) -> PhantomSpec:
-    return PhantomSpec.from_json(Path(path).read_text())
 
 
 def _volume_center(spec: PhantomSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cdm, centerline as cl, contours as contour_align, lumenseg, metrics, nurbs, phantom, slicer
-from .meshkit import marching_cubes, read_obj, validate, write_obj, write_stl
+from .meshkit import marching_cubes, read_obj, signed_volume, validate, write_obj, write_stl
 from .volume import load_raw, store_raw
 
 
@@ -127,6 +127,17 @@ def _phantom_spec(where: str, **fields) -> phantom.PhantomSpec:
         raise ValueError(f"config key {where}{exc}") from exc
 
 
+def _resolve_phantom(section) -> phantom.PhantomSpec:
+    """The PhantomSpec of a phantom section (or of phantom_spec.json), each
+    field read as a config key, whose tubes must fit in its volume."""
+    spec = _phantom_spec("phantom.", **resolve_config(section, _PHANTOM, "phantom."))
+    try:
+        phantom.check_in_volume(spec)
+    except ValueError as exc:
+        raise ValueError(f"config key phantom: {exc}") from exc
+    return spec
+
+
 def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
     """The config with every default filled in and every value cast.
 
@@ -152,11 +163,7 @@ def resolve_config(config, defaults=_DEFAULTS, where: str = "") -> dict:
             resolved[key] = resolve_config(value, default, f"{where}{key}.")
             continue
         if key == "phantom" and not isinstance(value, (phantom.PhantomSpec, type(None))):
-            value = _phantom_spec("phantom.", **resolve_config(value, _PHANTOM, "phantom."))
-            try:
-                phantom.check_in_volume(value)
-            except ValueError as exc:
-                raise ValueError(f"config key phantom: {exc}") from exc
+            value = _resolve_phantom(value)
         try:
             if default is None and value is not None and where + key in _OPTIONAL_FLOATS:
                 default = 1.0
@@ -267,8 +274,7 @@ def stage_centerline(config: dict, out: Path) -> Path:
     path = out / "centerline.csv"
     with _stage("centerline"):
         if source == "analytic":
-            spec = phantom.load_spec(out / "phantom_spec.json")
-            raw = phantom.analytic_centerline(spec, k)
+            raw = phantom.analytic_centerline(_resolve_phantom(_read_json(out / "phantom_spec.json")), k)
         elif source == "csv":
             raw = cl.read_csv(ccfg["path"])
         else:  # "cdm", the one source left after resolve_config
@@ -286,11 +292,9 @@ def _slice_geometry(config: dict, out: Path):
     anchors = cl.read_csv(out / "centerline.csv")
     half_extent = config["slice"]["half_extent_mm"]
     if half_extent is None:
-        # the phantom stage's artifact, as the analytic centerline source reads it
-        spec_path = out / "phantom_spec.json"
-        if not spec_path.exists():
+        if not (out / "phantom_spec.json").exists():
             raise ValueError("slice.half_extent_mm is required for non-phantom volumes")
-        half_extent = 4.0 * phantom.peak_radius(phantom.load_spec(spec_path))
+        half_extent = 4.0 * phantom.peak_radius(_resolve_phantom(_read_json(out / "phantom_spec.json")))
     return vol, anchors, cl.frames(anchors), half_extent, config["slice"]["n_pix"]
 
 
@@ -368,6 +372,10 @@ def stage_fit(config: dict, out: Path) -> Path:
 
 
 def stage_mesh(config: dict, out: Path) -> Path:
+    """Tessellate the surface, write the mesh and its topology report, and
+    gate it: the stage fails on any self-intersection, on a capped mesh that
+    is not watertight or whose normals point inward (signed volume <= 0),
+    and on an open mesh that is not a manifold tube with two boundary loops."""
     surf = resolve_config(config)["surface"]
     with _stage("mesh"):
         surface = nurbs.read_surface_json(out / "surface.nurbs.json")
@@ -376,6 +384,19 @@ def stage_mesh(config: dict, out: Path) -> Path:
         write_stl(mesh, out / "mesh.stl")
         report = validate(mesh)
         _write_json(out / "topology.json", report.to_dict())
+        if report.self_intersection_count > 0:
+            raise ValueError(f"mesh has {report.self_intersection_count} self-intersections")
+        loops, bad_edges = report.boundary_loop_count, report.non_manifold_edge_count
+        if surf["caps"]:
+            if not report.watertight:
+                raise ValueError(f"capped mesh is not watertight: {loops} boundary loops, "
+                                 f"{bad_edges} non-manifold edges")
+            volume = signed_volume(mesh)
+            if volume <= 0:
+                raise ValueError(f"capped mesh has signed volume {volume!r} mm^3: its normals point inward")
+        elif not (report.manifold and loops == 2):
+            raise ValueError(f"open mesh must be a manifold tube with 2 boundary loops: {loops} boundary "
+                             f"loops, {bad_edges} non-manifold edges")
     return out / "mesh.obj"
 
 

@@ -10,6 +10,8 @@ Sampling outside that box clamps to the nearest boundary-face projection
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,16 +159,29 @@ def store_raw(vol: Volume, path) -> None:
     path.write_bytes(payload.tobytes())
 
 
+def _sidecar_triple(header: dict, field: str, kind) -> list:
+    """The sidecar's `field`: a list of three finite values of `kind` (bools are
+    no numbers here), else ValueError naming the field."""
+    value = header.get(field)
+    if not (isinstance(value, list) and len(value) == 3 and all(
+            isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v) for v in value)):
+        name = "whole numbers" if kind is numbers.Integral else "finite numbers"
+        raise ValueError(f"volume sidecar {field} must be a list of 3 {name}, got {value!r}")
+    return value
+
+
 def load_raw(path) -> Volume:
     """Read a volume written by :func:`store_raw`.
 
-    ``store_raw`` followed by ``load_raw`` is the identity, bit-exact.
+    ``store_raw`` followed by ``load_raw`` is the identity, bit-exact.  The
+    sidecar's ``dims`` must hold three JSON integers, and its ``spacing_mm``
+    and ``origin_mm`` three finite numbers each.
     """
     path = Path(path)
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     if header.get("dtype") != "f32le":
         raise ValueError(f"unknown dtype {header.get('dtype')!r}, expected 'f32le'")
-    nx, ny, nz = (int(d) for d in header["dims"])
+    nx, ny, nz = _sidecar_triple(header, "dims", numbers.Integral)
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != nx * ny * nz:
         raise ValueError(
@@ -174,4 +189,5 @@ def load_raw(path) -> Volume:
             f"require {nx * ny * nz}"
         )
     data = raw.reshape(nz, ny, nx).astype(np.float32)
-    return Volume(data, tuple(header["spacing_mm"]), tuple(header["origin_mm"]))
+    return Volume(data, tuple(_sidecar_triple(header, "spacing_mm", numbers.Real)),
+                  tuple(_sidecar_triple(header, "origin_mm", numbers.Real)))

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,34 @@ def test_mesh_rejects_a_non_finite_surface(tmp_path, field):
     assert not (out / "mesh.obj").exists()
 
 
+def test_mesh_gate_fails_an_inside_out_mesh(tiny_config, pipe, tmp_path):
+    # the pipeline's surface with its core control-point columns reversed (the
+    # wrap kept) meshes watertight with 0 crossings, but inward normals
+    path, cfg, _ = tiny_config
+    _, ref = pipe
+    doc = json.loads((ref / "surface.nurbs.json").read_text())
+    m, n = doc["net_dims"]
+    degree = doc["degrees"][1]
+    core = np.array(doc["control_points"]).reshape(m, n, 3)[:, : n - degree][:, ::-1]
+    doc["control_points"] = np.concatenate([core, core[:, :degree]], axis=1).reshape(-1, 3).tolist()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "surface.nurbs.json").write_text(json.dumps(doc))
+    res = _run("mesh", "--config", str(path), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    err = json.loads(res.stdout.strip().splitlines()[-1])
+    assert err["stage"] == "mesh"
+    assert re.fullmatch(r"capped mesh has signed volume -\d+\.\d+ mm\^3: its normals point inward", err["error"])
+    topo = json.loads((out / "topology.json").read_text())
+    assert topo["watertight"] and topo["self_intersection_count"] == 0
+    # open, the same surface is a manifold tube with two boundary loops
+    open_cfg = tmp_path / "open.json"
+    open_cfg.write_text(json.dumps({**cfg, "surface": {**cfg["surface"], "caps": False}}))
+    res = _run("mesh", "--config", str(open_cfg), "--out", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert json.loads((out / "topology.json").read_text())["boundary_loop_count"] == 2
+
+
 def test_missing_volume_error_json(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"volume": {"path": "/does/not/exist.f32raw"}}))
@@ -272,6 +301,42 @@ def test_phantom_spec_flag(tmp_path, small_spec):
     assert res.returncode == 0
     assert (tmp_path / "out" / "volume.f32raw").exists()
     assert (tmp_path / "out" / "gt_surface.obj").exists()
+
+
+@pytest.mark.parametrize("key, value", [("dims", [48, 48, 48.5]), ("length_mm", True)])
+def test_bad_phantom_spec_artifact_fails_centerline(tmp_path, small_spec, key, value):
+    # phantom_spec.json is read as the config's phantom section is
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(small_spec.to_json())
+    out = tmp_path / "out"
+    res = _run("phantom", "--spec", str(spec_path), "--out", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    doc = json.loads((out / "phantom_spec.json").read_text())
+    (out / "phantom_spec.json").write_text(json.dumps({**doc, key: value}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    res = _run("centerline", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    err = json.loads(res.stdout.strip().splitlines()[-1])
+    assert err["stage"] == "centerline"
+    assert err["error"].startswith(f"config key phantom.{key}: ")
+    assert not (out / "centerline.csv").exists()
+
+
+def test_bad_volume_sidecar_fails_stage_volume(tmp_path):
+    store_raw(Volume(np.zeros((4, 4, 4), dtype=np.float32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+              tmp_path / "in.f32raw")
+    sidecar = tmp_path / "in.f32raw.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "dims": [4, 4, 4.9]}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"volume": {"path": str(tmp_path / "in.f32raw")}}))
+    out = tmp_path / "out"
+    res = _run("pipeline", "--config", str(path), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    err = json.loads(res.stdout.strip().splitlines()[-1])
+    assert err == {"stage": "volume",
+                   "error": "volume sidecar dims must be a list of 3 whole numbers, got [4, 4, 4.9]"}
+    assert not any(out.iterdir())
 
 
 def test_non_finite_centerline_exit_code(tmp_path):

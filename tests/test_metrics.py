@@ -144,15 +144,6 @@ def test_asd_dilated_sphere_bound():
     assert val == pytest.approx(_brute_asd(a, b, (1.0, 1.0, 1.0)), abs=1e-12)
 
 
-def test_mask_hausdorff():
-    a = np.zeros((8, 8, 8), dtype=bool)
-    a[2:6, 2:6, 2:6] = True
-    b = np.zeros((8, 8, 8), dtype=bool)
-    b[2:6, 2:6, 3:7] = True
-    assert metrics.mask_hausdorff(a, a, (1, 1, 1)) == 0.0
-    assert metrics.mask_hausdorff(a, b, (1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_symmetry_and_nonnegativity():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(15, 3))
@@ -220,13 +211,3 @@ def test_mesh_metric_report_structure(straight_spec):
                            "hd_mask_mm", "inputs", "seeds"}
     assert report["dice"] is None
 
-
-def test_mask_metric_report():
-    a = np.zeros((8, 8, 8), dtype=bool)
-    a[2:6, 2:6, 2:6] = True
-    b = np.zeros((8, 8, 8), dtype=bool)
-    b[2:6, 2:6, 3:7] = True
-    report = metrics.mask_metric_report(a, b, (1, 1, 1))
-    assert report["dice"] == pytest.approx(2 * 48 / (64 + 64))
-    assert report["hd_mask_mm"] == pytest.approx(1.0)
-    assert report["cd_mm"] is None

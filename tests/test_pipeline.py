@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vesselmesh import meshkit, phantom, pipeline
+from vesselmesh import centerline as cl, meshkit, phantom, pipeline
 from vesselmesh.pipeline import StageError
 from vesselmesh.volume import Volume, store_raw
 
@@ -151,6 +151,23 @@ def test_csv_centerline_source(tmp_path):
     out = tmp_path / "csv_out"
     summary = pipeline.run_pipeline(cfg, out)
     assert summary["topology"]["watertight"]
+
+
+def test_mesh_gate_fails_a_folded_mesh(tmp_path):
+    # a 4 mm x offset at every other station of an unsmoothed centerline folds
+    # the skin through itself; the edges alone still read watertight
+    cfg = {"phantom": {**_tiny_config()["phantom"], "length_mm": 30.0},
+           "centerline": {"source": "csv", "k": 16, "smooth": False, "path": str(tmp_path / "folded.csv")}}
+    pts = phantom.analytic_centerline(pipeline.resolve_config(cfg)["phantom"], 16)
+    pts[1::2, 0] += 4.0
+    cl.write_csv(pts, tmp_path / "folded.csv")
+    out = tmp_path / "out"
+    with pytest.raises(StageError, match="^mesh has 457 self-intersections$") as err:
+        pipeline.run_pipeline(cfg, out)
+    assert err.value.stage == "mesh"
+    topo = json.loads((out / "topology.json").read_text())
+    assert topo["watertight"] and topo["self_intersection_count"] == 457
+    assert not (out / "metrics.json").exists()
 
 
 def test_even_degree_with_even_contour_count_fails_before_any_file(tmp_path):

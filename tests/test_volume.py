@@ -113,6 +113,25 @@ def test_raw_unknown_dtype(tmp_path):
         load_raw(tmp_path / "bad.f32raw")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dims", [2, 2, 2.9]),  # read as 2 by int()
+    ("dims", [2, 2, True]),
+    ("dims", [2, 2]),
+    ("spacing_mm", [True, 1, 1]),  # read as 1 mm by float()
+    ("spacing_mm", ["1", 1, 1]),
+    ("spacing_mm", [1, float("nan"), 1]),
+    ("origin_mm", [0, None, 0]),
+    ("origin_mm", "000"),
+])
+def test_raw_sidecar_fields_are_read_strictly(tmp_path, field, value):
+    header = {"dims": [2, 2, 2], "spacing_mm": [1, 1, 1], "origin_mm": [0, 0, 0], "dtype": "f32le",
+              field: value}
+    (tmp_path / "bad.f32raw.json").write_text(json.dumps(header))
+    (tmp_path / "bad.f32raw").write_bytes(np.zeros(8, dtype="<f4").tobytes())
+    with pytest.raises(ValueError, match=f"^volume sidecar {field} must be a list of 3 "):
+        load_raw(tmp_path / "bad.f32raw")
+
+
 def test_raw_anisotropic_spacing_exact(tmp_path):
     vol = Volume(np.zeros((2, 2, 2), dtype=np.float32) + 0.5, (0.8, 0.8, 0.3), (0, 0, 0))
     store_raw(vol, tmp_path / "a.f32raw")
