@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .centerline import decode_image, encode_image
-from .volume import Volume, _trilinear
+from .volume import Volume
 
 _REFERENCE_T = 1000  # step count at which the canonical beta range applies
 # Adam's moment decay rates and denominator floor
@@ -88,12 +88,6 @@ def forward_noise(ci0, t, eps, sched: NoiseSchedule):
     return np.sqrt(ab) * ci0 + np.sqrt(1.0 - ab) * eps
 
 
-# the feature lookup's 33 offsets in voxel steps: the 3x3x3 patch, then the
-# +x +y +z -x -y -z gradient steps
-_OFFSETS = np.vstack([[(i, j, k) for k in (-1, 0, 1) for j in (-1, 0, 1) for i in (-1, 0, 1)],
-                      np.eye(3), -np.eye(3)])
-
-
 class VolumeFeatureEncoder:
     """Handcrafted per-point conditioning: intensity, central-difference
     gradient at one voxel step, and the 3x3x3 patch mean (5 values)."""
@@ -108,23 +102,64 @@ class VolumeFeatureEncoder:
         return _encode_features([self], pts[None])[0]
 
 
+# a point's voxel taps i0 - 1 .. i0 + 2 on each axis, and three weight rows
+# over them in terms of the fractions f and g = 1 - f: the centre lookup
+# [0, g, f, 0], the +1 step minus the -1 step [-g, -f, g, f] and the sum of the
+# -1, 0, +1 lookups [g, 1, 1, f], each contracting the last axis of a block
+_TAPS = np.arange(-1, 3)
+
+
+def _centre(a, g, f):
+    return g * a[..., 1] + f * a[..., 2]
+
+
+def _step(a, g, f):
+    return g * (a[..., 2] - a[..., 0]) + f * (a[..., 3] - a[..., 1])
+
+
+def _box(a, g, f):
+    return g * a[..., 0] + a[..., 1] + a[..., 2] + f * a[..., 3]
+
+
 def _encode_features(encoders, points) -> np.ndarray:
     """Features of a batch of point sets (B, n, 3), row b in ``encoders[b]``'s
-    volume: all B * n * 33 lookups in one trilinear pass.  Returns (B, n, 5)."""
-    b, n = points.shape[:2]
+    volume.  Returns (B, n, 5).
+
+    The 33 lookups (the 3x3x3 patch and the six one-voxel steps) are whole
+    voxels apart, and a trilinear lookup at a clamped coordinate equals one on
+    the edge-replicated volume.  So with q clipped to [-1, dims], all 33 share
+    the weights of f = q - floor(q) and read only the 4x4x4 block of taps
+    floor(q) - 1 .. floor(q) + 2, each clamped to the grid: one ``take`` per
+    row, then the weight rows contract x, y and z.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite sample point")
     vols = [enc.vol for enc in encoders]
     origin = np.array([vol.origin for vol in vols])[:, None]
     spacing = np.array([vol.spacing for vol in vols])[:, None]
     dims = np.array([vol.dims for vol in vols])[:, None]
-    query = (points[:, :, None, :] + (_OFFSETS * spacing)[:, None, :, :]).reshape(b, n * 33, 3)
-    if not np.isfinite(query).all():
-        raise ValueError("non-finite sample point")
-    q = (query - origin) / spacing
-    vals = _trilinear([vol.data for vol in vols], q, dims).reshape(b, n, 33)
-    patch = vals[..., :27]
-    intensity = patch[..., 13:14]  # center offset (0,0,0)
-    grad = (vals[..., 27:30] - vals[..., 30:33]) / (2.0 * spacing)
-    return np.concatenate([intensity, grad, patch.mean(axis=-1, keepdims=True)], axis=-1)
+    # beyond one voxel outside, every lookup of a point reads the edge alone
+    q = np.minimum(np.maximum((points - origin) / spacing, -1.0), dims)
+    i0 = np.floor(q)
+    f = q - i0
+    g = 1.0 - f
+    taps = np.minimum(np.maximum(i0.astype(np.int64)[..., None] + _TAPS, 0), dims[..., None] - 1)
+    # flat index x + nx * (y + ny * z) of the (B, n, z, y, x) block of taps
+    nx, ny = dims[..., :1], dims[..., 1:2]
+    taps *= np.concatenate([np.ones_like(nx), nx, nx * ny], axis=-1)[..., None]
+    idx = taps[..., 2, :, None, None] + taps[..., 1, None, :, None] + taps[..., 0, None, None, :]
+    block = np.stack([vol.data.take(rows) for vol, rows in zip(vols, idx)]).astype(np.float64)
+
+    wx = g[..., 0, None, None], f[..., 0, None, None]
+    wy = g[..., 1, None], f[..., 1, None]
+    wz = g[..., 2], f[..., 2]
+    cx = _centre(block, *wx)
+    cc = _centre(cx, *wy)
+    dc = _centre(_step(block, *wx), *wy)
+    cd = _step(cx, *wy)
+    grad = np.stack([_centre(dc, *wz), _centre(cd, *wz), _step(cc, *wz)], axis=-1) / (2.0 * spacing)
+    patch = _box(_box(_box(block, *wx), *wy), *wz) / 27.0
+    return np.concatenate([_centre(cc, *wz)[..., None], grad, patch[..., None]], axis=-1)
 
 
 def time_embedding(t, dim: int = 16) -> np.ndarray:
@@ -376,8 +411,12 @@ def sample(
     Starts from unit Gaussian noise (or ``x_init``), re-looks up features at
     the current denormalized positions each step, and returns the decoded
     polyline.  The noise injection is skipped at the final step and, when
-    ``deterministic`` is set, at every step.
+    ``deterministic`` is set, at every step.  An MLP denoiser that takes
+    another feature count than the encoder gives fails before any draw.
     """
+    if isinstance(denoiser, MlpDenoiser) and denoiser.n_features != encoder.n_features:
+        raise ValueError(f"denoiser takes n_features={denoiser.n_features} per point, "
+                         f"the encoder gives n_features={encoder.n_features}")
     k = denoiser.k_points
     lo, hi = vol.bounds()
     x = rng.standard_normal((k, 3)) if x_init is None else np.array(x_init, dtype=np.float64)

@@ -70,7 +70,8 @@ class Volume:
         return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
 
 
-# (x, y, z) offsets of a cell's 8 corners, x fastest: the order of the sum in _trilinear
+# (x, y, z) offsets of a cell's 8 corners, x fastest: the order of the sum in
+# sample_trilinear
 _CORNERS = np.array([(x, y, z) for z in (0, 1) for y in (0, 1) for x in (0, 1)])
 
 
@@ -97,37 +98,24 @@ def sample_trilinear(vol: Volume, points):
     if not np.isfinite(pts).all():
         raise ValueError("non-finite sample point")
 
-    q = vol.world_to_index(pts)
+    # clamp-to-edge: the eight corners of each point, gathered with one take
+    # on the x-fastest flat index
     dims = np.array(vol.dims, dtype=np.int64)
-    c = _trilinear([vol.data], q[None], dims[None, None])[0]
-    return float(c[0]) if single else c
-
-
-def _trilinear(datas, q, dims) -> np.ndarray:
-    """Clamp-to-edge trilinear interpolation at continuous voxel indices.
-
-    Row b of ``q`` (B, N, 3) holds index coordinates (x, y, z) into
-    ``datas[b]``, a (nz, ny, nx) array; ``dims`` (B, 1, 3) holds each row's
-    (nx, ny, nz).  The eight corners of a point are gathered with one
-    ``take`` per row on the x-fastest flat index.  Returns (B, N) float64.
-    """
-    q = np.clip(q, 0.0, dims - 1.0)
+    q = np.clip(vol.world_to_index(pts), 0.0, dims - 1.0)
     i0 = np.floor(q).astype(np.int64)
     i0 = np.minimum(i0, dims - 2)
     i0 = np.maximum(i0, 0)
     f = q - i0
     # flat index steps (1, nx, nx * ny) per axis, 0 on a one-voxel axis, where
     # the clip and the max give i0 = 0 and f = 0: a plain lookup
-    nx = dims[..., :1]
-    step = (dims > 1) * np.concatenate([np.ones_like(nx), nx, nx * dims[..., 1:2]], axis=-1)
-    step = step.swapaxes(1, 2)
-    idx = (i0 @ step).swapaxes(1, 2) + _CORNERS @ step
-    d = np.stack([data.take(rows) for data, rows in zip(datas, idx)], axis=1)
+    nx, ny = dims[0], dims[1]
+    step = (dims > 1) * np.array([1, nx, nx * ny])
+    d = vol.data.take(i0 @ step + (_CORNERS @ step)[:, None])
 
-    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
     gg, fg, gf, ff = gx * gy, fx * gy, gx * fy, fx * fy
-    return (
+    c = (
         d[0] * (gg * gz)
         + d[1] * (fg * gz)
         + d[2] * (gf * gz)
@@ -137,6 +125,7 @@ def _trilinear(datas, q, dims) -> np.ndarray:
         + d[6] * (gf * fz)
         + d[7] * (ff * fz)
     )
+    return float(c[0]) if single else c
 
 
 def store_raw(vol: Volume, path) -> None:

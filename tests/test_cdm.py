@@ -226,8 +226,56 @@ def test_batch_features_match_per_pair_lookups(sched):
         lo, hi = pair.encoder.vol.bounds()
         outside += int(((pos < lo) | (pos > hi)).any(axis=1).sum())
         assert feats.tobytes() == pair.encoder(pos).tobytes()
-        assert feats.tobytes() == _reference_features(pair.encoder.vol, pos).tobytes()
+        # one 4x4x4 block per point sums in another order than 33 lookups
+        assert np.abs(feats - _reference_features(pair.encoder.vol, pos)).max() <= 1e-12
     assert outside > 0
+
+
+def _edge_volumes():
+    # a one-voxel axis, a two-voxel axis and anisotropic dyadic spacing, so
+    # that voxel centres and boundary faces are exact in world coordinates
+    rng = np.random.default_rng(32)
+    for (nx, ny, nz), spacing in [((1, 6, 5), (0.5, 0.75, 1.25)),
+                                  ((7, 2, 4), (1.5, 0.25, 0.5)),
+                                  ((5, 4, 1), (0.75, 2.0, 0.5))]:
+        yield Volume(rng.random((nz, ny, nx)).astype(np.float32), spacing, (-2.5, 1.0, 3.0))
+
+
+def test_block_features_at_centres_faces_and_far_outside():
+    for vol in _edge_volumes():
+        enc = cdm.VolumeFeatureEncoder(vol)
+        lo, hi = vol.bounds()
+        dims = np.array(vol.dims)
+        sp = np.asarray(vol.spacing)
+        idx = np.stack(np.meshgrid(*[np.arange(m) for m in dims], indexing="ij"), -1).reshape(-1, 3)
+        centres = lo + idx * sp
+        feats = enc(centres)
+        assert np.array_equal(feats[:, 0], vol.data[idx[:, 2], idx[:, 1], idx[:, 0]])
+        assert (feats[:, 1:4][:, dims == 1] == 0.0).all()
+        assert np.abs(feats - _reference_features(vol, centres)).max() <= 1e-12
+
+        # points on each boundary face, the rest of the point inside
+        rng = np.random.default_rng(33)
+        faces = []
+        for axis in range(3):
+            for end in (lo, hi):
+                pts = rng.uniform(lo, hi, (8, 3))
+                pts[:, axis] = end[axis]
+                faces.append(pts)
+        faces = np.vstack(faces)
+        assert np.abs(enc(faces) - _reference_features(vol, faces)).max() <= 1e-12
+
+        # 1e6 mm outside (and 1e300, far past int64 voxel indices) on each side
+        # of each axis: that axis is clamped, so its gradient component is 0
+        for far in (1e6, 1e300):
+            for axis in range(3):
+                for sign in (-1.0, 1.0):
+                    pts = rng.uniform(lo, hi, (8, 3))
+                    pts[:, axis] = sign * far
+                    got = enc(pts)
+                    assert (got[:, 1 + axis] == 0.0).all()
+                    assert (got[:, 1:4][:, dims == 1] == 0.0).all()
+                    assert np.abs(got - _reference_features(vol, pts)).max() <= 1e-12
 
 
 def test_sampling_deterministic(sched, single_pair, small_volume):

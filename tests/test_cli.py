@@ -476,6 +476,25 @@ def test_cdm_sample_on_raw_volume_outside_unit_range_fails(tmp_path):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, stage", [(("cdm", "sample"), "cdm-sample"),
+                                            (("pipeline",), "centerline")])
+def test_checkpoint_of_other_feature_count_exits_3(tmp_path, command, stage):
+    from vesselmesh import cdm
+
+    cdm.save_checkpoint(cdm.MlpDenoiser(16, 4, hidden=8), cdm.NoiseSchedule(20), tmp_path / "model")
+    cfg = _tiny_dict()
+    cfg["centerline"] = {"source": "cdm", "k": 16, "checkpoint": str(tmp_path / "model")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = _run(*command, "--config", str(path), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    assert doc["stage"] == stage
+    assert doc["error"] == "denoiser takes n_features=4 per point, the encoder gives n_features=5"
+    assert not (out / "sampled_centerline.csv").exists() and not (out / "centerline.csv").exists()
+
+
 def test_config_without_volume_source_exits_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"centerline": {"k": 16}}))

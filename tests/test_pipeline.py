@@ -260,7 +260,7 @@ def test_compare_baseline_outputs(tmp_path):
 _CDM_SHA256 = {
     "train/model.f32": "e1b50c52150ea8f60060df5db31e196fcce4430b1d0ab665c6dc9d70b620faec",
     "train/model.json": "e8c0962d8a636f29fd28166d993bc091d64d0491486b146c674b3637d2e78ef1",
-    "train/loss_curve.csv": "52bed8c5e5350b09429bb7d668b7610c77d8267a333e0fce504bcc9e95dc9e7a",
+    "train/loss_curve.csv": "a9e6bed9d9f2204c7aa6da17c95e64977c771ef41c8277b0427aee8c263cdfed",
     "sample/sampled_centerline.csv":
         "2d2832b19b709e79f64fdecf02295e6e9b996f6ebcb848ec96c228965f9c0632",
 }
