@@ -166,7 +166,7 @@ def validate(mesh: TriMesh) -> TopologyReport:
 # self-intersection counting: uniform-grid broad phase over bounding boxes
 # (Baraff 1992) and a batched triangle-triangle interval test (Moller 1997)
 
-_PAIR_CHUNK = 1 << 16  # candidate pairs per batch; bounds the working memory
+_PAIR_CHUNK = 1 << 14  # candidate pairs per batch; bounds the working memory
 
 # Triangles are component-major, p (3 vertices, 3 coords, T) and normals
 # (3, T), so that each p[k, c] is one contiguous row: a batch of pairs
@@ -193,16 +193,20 @@ def _grid_entries(ilo: np.ndarray, span: np.ndarray, dims):
     strides = np.array([np.prod(dims[a + 1:], dtype=np.int64) for a in range(len(dims))])
     ncell = span.prod(axis=0)
     box = np.repeat(np.arange(ilo.shape[1]), ncell)
-    k = np.arange(len(box)) - np.repeat(np.cumsum(ncell) - ncell, ncell)
+    k = np.arange(len(box))
+    k -= np.repeat(np.cumsum(ncell) - ncell, ncell)
     key = (strides @ ilo)[box]
     low = np.zeros(len(box), dtype=np.uint8)
+    o = np.empty_like(k)
     # the last axis runs fastest through a box's cells
     for a in range(len(dims) - 1, 0, -1):
-        k, o = np.divmod(k, span[a][box])
-        key += o * strides[a]
-        low |= (o == 0).astype(np.uint8) << a
-    key += k * strides[0]
-    low |= (k == 0).astype(np.uint8)
+        np.divmod(k, span[a][box], out=(k, o))
+        low |= (o == 0).view(np.uint8) << a
+        o *= strides[a]
+        key += o
+    low |= (k == 0).view(np.uint8)
+    k *= strides[0]
+    key += k
     return box, key, low
 
 
@@ -215,39 +219,67 @@ _RANK = np.argsort(_LOW_ORDER)
 _FROM = np.array([0, 8, 6, 7, 5, 6, 7, 8])
 _TO = np.array([8, 8, 7, 8, 6, 8, 8, 8])
 
+# grid entries allowed per box before the cell edge doubles
+_ENTRIES_PER_BOX = 8
 
-def _grid_pairs(lo: np.ndarray, hi: np.ndarray):
-    """Yield (i, j) of every triangle pair whose boxes touch a common grid cell, once, in batches.
 
-    lo and hi are (3, T) box corners.  Each box is entered into every cell
-    of a uniform grid that it touches (cell edge: the median box extent).
-    A pair is formed only in the low corner of the cells both boxes touch:
-    the cell where, on every axis, one of the two boxes starts.  So every
-    pair of overlapping closed boxes is produced exactly once, with i and j
-    in either order.
+def _grid_rows(lo: np.ndarray, hi: np.ndarray):
+    """The grid entries of the boxes lo, hi (3, T) in cell order, and whom each pairs with.
+
+    Each box is entered into every cell of a uniform grid that it touches.
+    The cell edge starts at the median box extent and doubles until the
+    boxes touch at most _ENTRIES_PER_BOX cells each on average, so a few
+    boxes far larger than the rest cannot multiply the entries.  Returns
+    (tri, first, count): entry e is triangle tri[e], and it pairs with the
+    entries first[e] .. first[e] + count[e] - 1.
     """
     # cell key, rank and triangle pack into one int64 that np.sort orders;
     # at most about 2^side cells a side keep it below 2^63
     bits = max(lo.shape[1] - 1, 1).bit_length()
     side = (58 - bits) // 3
     cell = max(_median_cell(hi - lo), float((hi.max(axis=1) - lo.min(axis=1)).max()) * 2.0**-side)
-    ilo = np.floor(lo / cell).astype(np.int64)
-    span = np.floor(hi / cell).astype(np.int64) - ilo + 1
+    while True:
+        ilo = np.floor(lo / cell).astype(np.int64)
+        span = np.floor(hi / cell).astype(np.int64) - ilo + 1
+        if span.prod(axis=0).sum() <= _ENTRIES_PER_BOX * lo.shape[1]:
+            break
+        cell *= 2.0
     ilo -= ilo.min(axis=1, keepdims=True)
     tri, key, low = _grid_entries(ilo, span, (ilo + span).max(axis=1))
-    packed = np.sort((key * 8 + _RANK[low]) << bits | tri)
-    tri = packed & ((1 << bits) - 1)
-    key = packed >> bits
+    key *= 8
+    key += _RANK[low]
+    key <<= bits
+    key |= tri
+    key.sort()
+    np.bitwise_and(key, (1 << bits) - 1, out=tri)
+    key >>= bits
 
     # row 9c + r of start: the first entry of the c-th cell with rank r or
     # more (r = 8: the cell's end)
     rank = key & 7
     row = np.zeros(len(key), dtype=np.int64)
-    np.cumsum(key[1:] >> 3 != key[:-1] >> 3, out=row[1:])
+    key >>= 3
+    np.cumsum(key[1:] != key[:-1], out=row[1:])
     row *= 9
     start = np.cumsum(np.bincount(row + rank + 1, minlength=row[-1] + 9))
     first = np.maximum(start[row + _FROM[rank]], np.arange(1, len(key) + 1))
-    count = np.maximum(start[row + _TO[rank]] - first, 0)
+    count = start[row + _TO[rank]]
+    count -= first
+    np.maximum(count, 0, out=count)
+    return tri, first, count
+
+
+def _grid_pairs(lo: np.ndarray, hi: np.ndarray):
+    """Yield (i, j) of every triangle pair whose boxes touch a common grid cell, once, in batches.
+
+    lo and hi are (3, T) box corners, entered into a grid by _grid_rows.  A
+    pair is formed only in the low corner of the cells both boxes touch:
+    the cell where, on every axis, one of the two boxes starts.  So every
+    pair of overlapping closed boxes is produced exactly once, with i and j
+    in either order.  Only the entries' triangles and pair ranges stay
+    alive between batches.
+    """
+    tri, first, count = _grid_rows(lo, hi)
     for rows, cols in _pair_batches(first, count):
         yield tri[rows], tri[cols]
 
@@ -375,10 +407,15 @@ def _tri_tri_intersect(p: np.ndarray, n: np.ndarray, i: np.ndarray, j: np.ndarra
     tol_v, apart_v, flat_v, straddles_v = _sides(dv)
     tol_u, apart_u, flat_u, straddles_u = _sides(du)
     near = ~(apart_v | apart_u)
+    # a batch often has no pair of a kind, and each test costs about a
+    # hundred numpy calls even on empty input
     cop = np.flatnonzero(near & flat_v & flat_u)
-    hit[cop] = _coplanar_tri_tri(p, n, i[cop], j[cop])
+    if len(cop):
+        hit[cop] = _coplanar_tri_tri(p, n, i[cop], j[cop])
 
     g = np.flatnonzero(near & straddles_v & straddles_u)
+    if not len(g):
+        return hit
     ig, jg = i[g], j[g]
     dv, du = dv[:, g], du[:, g]
     dv = np.where(np.abs(dv) < tol_v[g], 0.0, dv)
@@ -394,6 +431,10 @@ def _tri_tri_intersect(p: np.ndarray, n: np.ndarray, i: np.ndarray, j: np.ndarra
 def count_self_intersections(mesh: TriMesh) -> int:
     """Number of triangle pairs that properly intersect (shared-vertex pairs excluded).
 
+    Candidate pairs come from a uniform grid over the triangles' boxes with
+    at most 8 entries per box on average (see _grid_rows), and are tested
+    _PAIR_CHUNK at a time, so the working memory grows with the number of
+    triangles, not with the size of the largest one.
     Raises ValueError naming the first non-finite vertex a triangle uses.
     Known behaviour: two triangles that meet along a whole edge without
     sharing vertex indices (an unwelded seam) count 0 when they are coplanar
@@ -498,11 +539,12 @@ def marching_cubes(vol: Volume, iso: float = 0.5) -> TriMesh:
     applied.  Vertices are numbered by the first (active cell, cut edge)
     pair that uses them, cells in C order and edges 0..11 within a cell.
     """
-    data = vol.data.astype(np.float64)
+    data = vol.data
     if not (float(data.min()) < iso < float(data.max())):
         raise ValueError(f"iso {iso} outside data range [{data.min()}, {data.max()}]")
     nx, ny, nz = vol.dims
-    below = data < iso
+    # compared in float64, as iso is, without a float64 copy of the volume
+    below = np.less(data, iso, signature=(np.float64, np.float64, np.bool_))
 
     ci = np.zeros((nz - 1, ny - 1, nx - 1), dtype=np.uint16)
     for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
@@ -526,7 +568,7 @@ def marching_cubes(vol: Volume, iso: float = 0.5) -> TriMesh:
     vid = np.argsort(order)[inverse]
     src = first[order]
     ia = xyz[src, None] + _CORNER_XYZ[edge[src]]  # (V, end a/b, xyz)
-    va, vb = data[ia[..., 2], ia[..., 1], ia[..., 0]].T
+    va, vb = data[ia[..., 2], ia[..., 1], ia[..., 0]].T.astype(np.float64)
     t = np.clip((iso - va) / (vb - va), 0.0, 1.0)[:, None]
     ia = ia.astype(np.float64)
     origin = np.asarray(vol.origin, dtype=np.float64)
@@ -596,23 +638,14 @@ def _ray_triangles(v0: np.ndarray, e1: np.ndarray, e2: np.ndarray, d: np.ndarray
     return across, coef, offset, lo - pad, hi + pad
 
 
-def _ray_parity(pts: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray, d: np.ndarray):
-    """Moller-Trumbore (inside, grazed) per point for rays from pts (P, 3) along d.
+def _point_cells(q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The boxes lo, hi (2, T) that share a cell of a uniform 2-D grid with each point of q (2, P).
 
-    A ray can hit only the triangles whose grown box (see _ray_triangles)
-    holds its origin's projection.  Boxes and points are entered into a
-    uniform 2-D grid in the plane across d (cell edge: the median box
-    extent; a point goes into the one cell that holds it), and only
-    point-triangle pairs that share a cell are evaluated, _PAIR_CHUNK at a
-    time.  A ray grazes where a hit lies within 1e-9 of a triangle edge.
+    The cell edge is the median box extent; a point goes into the one cell
+    that holds it, and a box into every cell it touches, clipped to the
+    cells that hold points.  Returns (tri, first, count): point p shares a
+    cell with the boxes tri[first[p]] .. tri[first[p] + count[p] - 1].
     """
-    if not len(pts):
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-    scale = max(float(np.abs(pts).max()),
-                float(np.abs(v0).max(initial=0.0) + np.abs([e1, e2]).max(initial=0.0)))
-    across, coef, offset, lo, hi = _ray_triangles(v0, e1, e2, d, scale)
-
-    q = across @ pts.T  # (2, P)
     origin = q.min(axis=1, keepdims=True)
     # at most 2^20 cells a side, so that the flat cell keys cannot overflow
     cell = max(_median_cell(hi - lo), float((q.max(axis=1) - origin[:, 0]).max()) * 2.0**-20)
@@ -622,10 +655,28 @@ def _ray_parity(pts: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray,
     ihi = np.clip(np.floor((hi - origin) / cell), -1, dims - 1).astype(np.int64)
     box, key, _ = _grid_entries(ilo, np.maximum(ihi - ilo + 1, 0), dims[:, 0])
     order = np.argsort(key)
-    tri, keys = box[order], key[order]
+    key = key[order]
     cell_of = np.ravel_multi_index(tuple(np.floor((q - origin) / cell).astype(np.int64)), tuple(dims[:, 0]))
-    first = np.searchsorted(keys, cell_of, side="left")
-    count = np.searchsorted(keys, cell_of, side="right") - first
+    first = np.searchsorted(key, cell_of, side="left")
+    count = np.searchsorted(key, cell_of, side="right") - first
+    return box[order], first, count
+
+
+def _ray_parity(pts: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray, d: np.ndarray):
+    """Moller-Trumbore (inside, grazed) per point for rays from pts (P, 3) along d.
+
+    A ray can hit only the triangles whose grown box (see _ray_triangles)
+    holds its origin's projection.  Boxes and points are entered into a
+    uniform 2-D grid in the plane across d (see _point_cells), and only
+    point-triangle pairs that share a cell are evaluated, _PAIR_CHUNK at a
+    time.  A ray grazes where a hit lies within 1e-9 of a triangle edge.
+    """
+    if not len(pts):
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    scale = max(float(np.abs(pts).max()),
+                float(np.abs(v0).max(initial=0.0) + np.abs([e1, e2]).max(initial=0.0)))
+    across, coef, offset, lo, hi = _ray_triangles(v0, e1, e2, d, scale)
+    tri, first, count = _point_cells(across @ pts.T, lo, hi)
 
     hits = np.zeros(len(pts), dtype=np.int64)
     grazes = np.zeros(len(pts), dtype=np.int64)

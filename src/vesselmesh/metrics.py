@@ -57,7 +57,15 @@ def emd(a, b) -> float:
         raise ValueError(f"exact EMD capped at {_EMD_CAP} points, got {len(a)}")
     from scipy.optimize import linear_sum_assignment
 
-    cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
+    # |a_i - b_j| with the squares summed as .sum(-1) over the coordinates
+    # sums them, (dx^2 + dy^2) + dz^2, and no (N, N, 3) temporary
+    cost = np.zeros((len(a), len(b)))
+    d = np.empty_like(cost)
+    for c in range(3):
+        np.subtract.outer(a[:, c], b[:, c], out=d)
+        d *= d
+        cost += d
+    np.sqrt(cost, out=cost)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
 

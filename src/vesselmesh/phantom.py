@@ -328,12 +328,14 @@ def rasterize(spec: PhantomSpec) -> Volume:
 
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)
-        intensity = intensity + rng.normal(0.0, spec.noise_sigma, intensity.shape)
-        intensity = np.clip(intensity, 0.0, 1.0)
+        intensity += rng.normal(0.0, spec.noise_sigma, intensity.shape)
+        np.clip(intensity, 0.0, 1.0, out=intensity)
 
     # keep voxel values off the default iso-level so marching cells never
-    # hit a corner exactly
-    near_half = np.abs(intensity - 0.5) < 1e-7
-    intensity[near_half] = 0.5 + 1e-6
+    # hit a corner exactly; only values above 0.25 can lie within 1e-7 of
+    # 0.5, so only those are tested, and no whole-grid float temporary is made
+    flat = intensity.reshape(-1)
+    idx = np.flatnonzero(flat > 0.25)
+    flat[idx[np.abs(flat[idx] - 0.5) < 1e-7]] = 0.5 + 1e-6
 
     return Volume(intensity.astype(np.float32), tuple(spec.spacing_mm), (0.0, 0.0, 0.0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,15 @@ def affine_volume(coeffs=(2.0, 0.25, -0.5, 1.0), dims=(16, 16, 16),
     data = (a * wx + b * wy + c * wz + d).astype(np.float32)
     assert np.array_equal(data.astype(np.float64), a * wx + b * wy + c * wz + d)
     return Volume(data, spacing, origin)
+
+
+def traced_peak_mb(fn, *args):
+    """(fn(*args), MB): the most memory, numpy buffers included, that the
+    call held allocated at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20

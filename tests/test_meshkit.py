@@ -1,8 +1,10 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mb
 from vesselmesh import meshkit, phantom
 from vesselmesh.volume import Volume
 
@@ -122,6 +124,45 @@ def test_marching_cubes_iso_out_of_range():
     vol = Volume(np.full((4, 4, 4), 0.7, dtype=np.float32), (1, 1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         meshkit.marching_cubes(vol, 0.5)
+
+
+# sha256 of (vertices, triangles) of marching_cubes on the straight phantom
+# rounded to sixteenths, at two iso-levels that float32 cannot hold, as the
+# implementation that compared a float64 copy of the volume made them
+_MC_ISO_SHA256 = {
+    0.3: ("2ac3d428c6c4f0baf6262c0d74d335e59950ca95f4c50fee345ddc4a69575434",
+          "8e4f1f38e5b7995d8319bb066f2d747f5430abed12f6224b6f650a7a1d07e698"),
+    0.5 + 2.0**-40: ("c44282847b0ba7be1c5a29fd3d4d4e6ecf738bf44882542acc2d2ae5e97ec46f",
+                     "b165c2e22c145683170cfff5d82d6dbf96a8c7cd5d58e440ef164455ba6d3e34"),
+}
+
+
+def _sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("iso", sorted(_MC_ISO_SHA256))
+def test_marching_cubes_compares_in_float64(straight_volume, iso):
+    data = np.round(straight_volume.data * 16) / 16
+    vol = Volume(data, straight_volume.spacing, straight_volume.origin)
+    assert float(np.float32(iso)) != iso and (data == 0.5).any()
+    mesh = meshkit.marching_cubes(vol, iso)
+    assert (_sha256(mesh.vertices), _sha256(mesh.triangles)) == _MC_ISO_SHA256[iso]
+    if iso > 0.5:
+        # voxels at exactly 0.5 lie below 0.5 + 2^-40, which rounds to 0.5 in
+        # float32: compared in float32 they would not, giving iso 0.5's mesh
+        assert mesh.n_triangles != meshkit.marching_cubes(vol, 0.5).n_triangles
+
+
+def test_marching_cubes_working_memory_at_128():
+    # the float64 copy of a 128^3 volume alone would take 16 MB; the case
+    # bits, the active cells and the welded vertices take less
+    spec = phantom.PhantomSpec(shape="arc", length_mm=39.27, base_radius_mm=5.0, arc_radius_mm=25.0,
+                               dims=(128, 128, 128), spacing_mm=(0.45, 0.45, 0.45))
+    vol = phantom.rasterize(spec)
+    mesh, peak = traced_peak_mb(meshkit.marching_cubes, vol, 0.5)
+    assert mesh.n_triangles > 20000
+    assert peak < 128**3 * 8 / 2**20 + 4.0, peak
 
 
 def test_marching_cubes_phantom_clean(straight_volume):

@@ -92,6 +92,31 @@ def test_kd_tree_matches_brute_force_bits_on_small_sets():
         assert metrics._nearest_dists(a, b).tobytes() == brute.tobytes(), i
 
 
+def test_emd_cost_has_the_bits_of_the_broadcast_sum(monkeypatch):
+    # emd used to build its cost with the broadcast expression below; the
+    # cost it hands to the assignment solver now must have the same bits
+    import scipy.optimize
+
+    costs = []
+    solve = scipy.optimize.linear_sum_assignment
+
+    def capture(cost):
+        costs.append(cost.copy())
+        return solve(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", capture)
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        n = 256 if i < 4 else int(rng.integers(1, 256))
+        a = rng.normal(0.0, 10.0, (n, 3))
+        b = rng.normal(0.0, 10.0, (n, 3))
+        if i % 2:
+            a, b = np.round(a, 2), np.round(b, 2)
+        metrics.emd(a, b)
+        reference = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
+        assert costs[-1].tobytes() == reference.tobytes(), i
+
+
 def test_emd_errors():
     a = np.zeros((3, 3))
     with pytest.raises(ValueError, match="equal"):

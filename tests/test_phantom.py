@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import traced_peak_mb
 from vesselmesh import meshkit, phantom
 from vesselmesh.volume import sample_trilinear
 
@@ -379,6 +380,9 @@ _DENSE_CASES = {
     # the arc of the evaluate workload's parameter study
     "study_arc": dict(shape="arc", length_mm=30.0, base_radius_mm=4.0, arc_radius_mm=12.0,
                       axis_offset_mm=(0.78, 0.11)),
+    # strong noise puts about 29% of the voxels above 0.25, where the nudge off 0.5 looks
+    **{f"noise_0.4_{shape}_seed{seed}": dict(shape=shape, noise_sigma=0.4, seed=seed)
+       for seed, shape in enumerate(("straight", "arc", "branched"), start=1)},
 }
 
 
@@ -412,3 +416,15 @@ def test_band_queries_a_fraction_of_the_voxels(monkeypatch, shape):
     spec = phantom.PhantomSpec(shape=shape)
     phantom.rasterize(spec)
     assert 0 < sum(rows) < np.prod(spec.dims) / 12
+
+
+def test_rasterize_working_memory_at_128():
+    # the float64 grid and the float32 volume, plus the narrow band's
+    # arrays: one whole-grid float64 temporary more (16 MB) breaks the bound
+    spec = phantom.PhantomSpec(shape="arc", length_mm=39.27, base_radius_mm=5.0, arc_radius_mm=25.0,
+                               dims=(128, 128, 128), spacing_mm=(0.45, 0.45, 0.45))
+    phantom.rasterize(phantom.PhantomSpec(shape="arc"))  # imports what rasterize loads
+    vol, peak = traced_peak_mb(phantom.rasterize, spec)
+    grids = 128**3 * (8 + 4) / 2**20
+    assert vol.data.dtype == np.float32
+    assert peak < grids + 8.0, peak

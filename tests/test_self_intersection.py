@@ -9,6 +9,7 @@ the same count on every mesh here.
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mb
 from vesselmesh import meshkit, phantom
 
 
@@ -354,3 +355,35 @@ def test_unreferenced_non_finite_vertex_is_ignored(straight_spec):
     mesh = phantom.analytic_surface(straight_spec, 16, 16, caps=True)
     vertices = np.vstack([mesh.vertices, [[np.nan, 0.0, 0.0]]])
     assert meshkit.validate(meshkit.TriMesh(vertices, mesh.triangles)) == meshkit.validate(mesh)
+
+
+def test_oversized_triangle(straight_spec):
+    # one triangle 40 mm wide on every axis through the capped tube: in
+    # cells of the median extent it alone would stamp 262k grid entries
+    # (50 MB of working memory); a doubled cell keeps them within 8 per box
+    mesh = phantom.analytic_surface(straight_spec, 64, 64, caps=True)
+    n = mesh.n_vertices
+    corners = mesh.vertices.min(axis=0) + np.array([[-5.0, 0, 0], [35.0, 40.0, 0], [0, 10.0, 40.0]])
+    big = meshkit.TriMesh(np.vstack([mesh.vertices, corners]),
+                          np.vstack([mesh.triangles, [[n, n + 1, n + 2]]]))
+    count, peak = traced_peak_mb(meshkit.count_self_intersections, big)
+    assert count == oracle_count(big) > 0
+    assert peak < 16.0, peak
+
+
+def test_working_memory_of_a_131k_triangle_tube():
+    # the 131k-triangle mesh of a 256 x 256 tessellation, its axis off the
+    # grid's axes: in cells of the median extent it would stamp 2.4M grid
+    # entries, 1.8M of them from the 512 fan triangles of its caps (196 MB
+    # of working memory); the doubled cell stamps 580k
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    a = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    b = np.cross(axis, a)
+    rings = (np.linspace(-20.0, 20.0, 256)[:, None, None] * axis
+             + 6.0 * (np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * b))
+    mesh = meshkit.loft_rings(rings, caps=True)
+    assert mesh.n_triangles == 131072
+    count, peak = traced_peak_mb(meshkit.count_self_intersections, mesh)
+    assert count == 0
+    assert peak < 100.0, peak
